@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from detkit import evaluate, pathology_fixture, per_class_ap
 

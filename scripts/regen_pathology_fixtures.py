@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from detkit import pathology_fixture, results_document
 
@@ -41,7 +42,7 @@ def dataset_document(truths) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="src/detkit/data", help="target directory")
+    parser.add_argument("--out", default=str(ROOT / "src" / "detkit" / "data"), help="target directory")
     args = parser.parse_args()
 
     out = Path(args.out)

@@ -164,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--iou", type=float, default=0.5, help="IOU threshold for the pooled metrics")
     p_eval.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p_eval.add_argument("--shards", type=int, default=1, help="parallel evaluation shards (output-identical)")
+    p_eval.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="kept for compatibility: must be positive, starts no threads, changes no output",
+    )
     p_eval.set_defaults(func=_cmd_eval)
 
     p_anchors = sub.add_parser("anchors", help="cluster box sizes into anchor priors")

@@ -10,6 +10,7 @@ form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -53,7 +54,13 @@ def _require_int(value, what: str) -> int:
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{what} must be finite, got {number!r}")
+    return number
 
 
 def _require_bbox(value, what: str) -> tuple[float, float, float, float]:
@@ -62,6 +69,8 @@ def _require_bbox(value, what: str) -> tuple[float, float, float, float]:
     left, top, width, height = (_require_number(v, f"{what}: bbox entry") for v in value)
     if width <= 0 or height <= 0:
         raise ValidationError(f"{what}: bbox size must be positive, got {width} x {height}")
+    if not (math.isfinite(left + width) and math.isfinite(top + height) and math.isfinite(width * height)):
+        raise ValidationError(f"{what}: bbox right edge, bottom edge or area overflows")
     return left, top, width, height
 
 
@@ -69,8 +78,9 @@ def load_dataset(path: str | Path) -> GroundTruthSet:
     """Read a ground-truth document: images, annotations, and categories.
 
     Annotation bboxes are corner form and become center-form boxes.  Dangling
-    image/category references, non-positive sizes, and duplicate ids raise
-    ValidationError naming the offending record.  Crowd regions (annotations
+    image/category references, non-positive sizes, non-finite numbers, bboxes
+    whose far edge or area overflows, and duplicate ids raise ValidationError
+    naming the offending record.  Crowd regions (annotations
     with a truthy iscrowd) are rejected rather than silently mis-scored.
     """
     doc = _load_json(path)
@@ -187,8 +197,9 @@ def write_results(detections: DetectionResultSet, path: str | Path) -> None:
 def load_dimension_samples(path: str | Path) -> list[DimensionSample]:
     """Read box sizes from a text file: one 'width height' pair per line.
 
-    Blank lines and lines starting with '#' are skipped.  Malformed lines
-    raise ParseError naming the line number.
+    Blank lines and lines starting with '#' are skipped.  Malformed lines and
+    sizes that are not positive and finite raise ParseError naming the line
+    number.
     """
     samples: list[DimensionSample] = []
     for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -202,8 +213,8 @@ def load_dimension_samples(path: str | Path) -> list[DimensionSample]:
             width, height = float(parts[0]), float(parts[1])
         except ValueError as err:
             raise ParseError(f"{path}: line {line_number}: {err}") from err
-        if width <= 0 or height <= 0:
-            raise ParseError(f"{path}: line {line_number}: sizes must be positive")
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ParseError(f"{path}: line {line_number}: sizes must be positive and finite")
         samples.append(DimensionSample(width, height))
     return samples
 
@@ -227,7 +238,7 @@ class SpeedAccuracyTable:
 def load_speed_table(path: str | Path) -> SpeedAccuracyTable:
     """Read a speed/accuracy TSV: header 'method<TAB>time_ms<TAB>metric', then rows.
 
-    Times must be positive and metric values must lie in [0, 100]; a bad row
+    Times must be positive and finite, and metric values must lie in [0, 100]; a bad row
     raises ParseError naming its line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -248,8 +259,8 @@ def load_speed_table(path: str | Path) -> SpeedAccuracyTable:
             metric = float(metric_text)
         except ValueError as err:
             raise ParseError(f"{path}: line {line_number}: {err}") from err
-        if not (time_ms > 0):
-            raise ParseError(f"{path}: line {line_number}: time_ms must be positive")
+        if not (0 < time_ms < math.inf):
+            raise ParseError(f"{path}: line {line_number}: time_ms must be positive and finite")
         if not (0.0 <= metric <= 100.0):
             raise ParseError(f"{path}: line {line_number}: metric must lie in [0, 100]")
         rows.append(SpeedAccuracyRow(method, time_ms, metric, (method, time_text, metric_text)))

@@ -1,5 +1,11 @@
 """Detection evaluation: greedy matching, PR curves, and the AP metric family.
 
+Every metric is a view over one matching pass: image ids are checked once,
+detections and truths are grouped once by (image, class), each same-group IOU
+is computed once, and one greedy rule matches at every threshold needed.  A
+detection matched at IOU 0.5 belongs to its truth's size band; other bands
+leave it out of both their ranking and their re-matching.
+
 Alongside the usual per-class AP means (VOC-style mAP at IOU 0.5 and the
 COCO-style threshold sweep), this module provides two rank-sensitive
 alternatives: a class-pooled AP over one global ranking, and the mean of
@@ -9,7 +15,7 @@ the per-class mean is blind to ranking defects that both alternatives expose.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -112,11 +118,6 @@ class GroundTruthSet:
     def classes_with_truth(self) -> tuple[int, ...]:
         return tuple(sorted(self._class_totals))
 
-    def filter_boxes(self, keep: Callable[[GroundTruth], bool]) -> "GroundTruthSet":
-        """Same registry and categories, only the ground truths passing the predicate."""
-        kept = [gt for img in self._images for gt in self._by_image[img] if keep(gt)]
-        return GroundTruthSet(self._images.values(), self._categories, kept)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundTruthSet):
             return NotImplemented
@@ -203,6 +204,33 @@ def _sweep_order(detections: Iterable[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: (-d.score, d.index))
 
 
+def _check_threshold(iou_threshold: float) -> None:
+    if not (0.0 <= iou_threshold <= 1.0):
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
+
+
+def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
+    """The matching rule, over IOU rows given in sweep order.
+
+    Row i takes the still-free column of highest IOU, provided that IOU
+    reaches iou_threshold; the strict comparison sends IOU ties to the lower
+    column.  Returns each row's column, or None.
+    """
+    taken: set[int] = set()
+    out: list[int | None] = []
+    for row in rows:
+        best = None
+        best_value = -1.0
+        for g, value in enumerate(row):
+            if value >= iou_threshold and value > best_value and g not in taken:
+                best_value = value
+                best = g
+        out.append(best)
+        if best is not None:
+            taken.add(best)
+    return out
+
+
 def match(
     detections: DetectionResultSet,
     ground_truths: GroundTruthSet,
@@ -217,27 +245,14 @@ def match(
     the IOU reaches iou_threshold (IOU ties toward the lower truth index).
     Raises UnknownImageError for an unregistered image id.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
+    _check_threshold(iou_threshold)
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
     cands = _sweep_order(d for d in detections.for_image(image_id) if d.class_id == class_id)
-    taken = [False] * len(truths)
-    det_matches: list[int | None] = []
+    det_matches = _greedy([[iou(det.box, gt.box) for gt in truths] for det in cands], iou_threshold)
     gt_matches: list[int | None] = [None] * len(truths)
-    for pos, det in enumerate(cands):
-        best = None
-        best_value = -1.0
-        for g, gt in enumerate(truths):
-            if taken[g]:
-                continue
-            value = iou(det.box, gt.box)
-            if value >= iou_threshold and value > best_value:
-                best_value = value
-                best = g
-        det_matches.append(best)
-        if best is not None:
-            taken[best] = True
-            gt_matches[best] = pos
+    for pos, g in enumerate(det_matches):
+        if g is not None:
+            gt_matches[g] = pos
     return MatchTable(tuple(cands), tuple(det_matches), tuple(gt_matches))
 
 
@@ -253,34 +268,144 @@ class PRCurve:
         return average_precision(self, "continuous")
 
 
-def _require_known_images(detections: DetectionResultSet, ground_truths: GroundTruthSet) -> None:
-    for det in detections:
-        if det.image_id not in ground_truths.images:
-            raise UnknownImageError(det.image_id)
+class _Evaluation:
+    """The one matching pass behind every metric.
+
+    Image ids are checked once.  Detections are grouped once by (image,
+    class) in sweep order, truths once by (image, class) in input order, and
+    the IOU of every same-group (detection, truth) pair is computed once.
+    matched[t][i] is the truth that the detection with input index i took at
+    threshold t, or None.
+    """
+
+    def __init__(
+        self,
+        detections: DetectionResultSet,
+        ground_truths: GroundTruthSet,
+        thresholds: Sequence[float],
+    ) -> None:
+        for threshold in thresholds:
+            _check_threshold(threshold)
+        for det in detections:
+            if det.image_id not in ground_truths.images:
+                raise UnknownImageError(det.image_id)
+        self.ground_truths = ground_truths
+        self.counts = {c: ground_truths.class_count(c) for c in ground_truths.classes_with_truth()}
+        self.order = _sweep_order(detections)
+        self.by_class: dict[int, list[Detection]] = {}
+        self.by_image: dict[int, list[Detection]] = {}
+        by_group: dict[tuple[int, int], list[Detection]] = {}
+        for det in self.order:
+            self.by_class.setdefault(det.class_id, []).append(det)
+            self.by_image.setdefault(det.image_id, []).append(det)
+            by_group.setdefault((det.image_id, det.class_id), []).append(det)
+        truths: dict[tuple[int, int], list[GroundTruth]] = {}
+        for image_id in ground_truths.image_ids:
+            for gt in ground_truths.for_image(image_id):
+                truths.setdefault((image_id, gt.class_id), []).append(gt)
+        # (detections, truths, IOU rows) for each group holding both
+        self.groups = [
+            (dets, truths[key], [[iou(det.box, gt.box) for gt in truths[key]] for det in dets])
+            for key, dets in by_group.items()
+            if key in truths
+        ]
+        self.matched = {t: self._match(self.groups, t) for t in thresholds}
+
+    def _match(self, groups, iou_threshold: float) -> list[GroundTruth | None]:
+        matched: list[GroundTruth | None] = [None] * len(self.order)
+        for dets, truths, rows in groups:
+            for det, g in zip(dets, _greedy(rows, iou_threshold)):
+                if g is not None:
+                    matched[det.index] = truths[g]
+        return matched
+
+    def class_aps(self, iou_threshold: float, interpolation: str) -> dict[int, float]:
+        return _class_aps(self.by_class, self.matched[iou_threshold], self.counts, interpolation)
+
+    def coco(self) -> CocoAPResult:
+        return _coco_result(self.by_class, self.matched, self.counts)
+
+    def band_ap(self, band: str) -> float | None:
+        """ap_by_area, re-matching on the IOU rows restricted to the band's truths."""
+        counts = Counter(
+            gt.class_id
+            for image_id in self.ground_truths.image_ids
+            for gt in self.ground_truths.for_image(image_id)
+            if area_band(gt.box) == band
+        )
+        if not counts:
+            return None
+        owner = self.matched[0.5]
+
+        def kept(det: Detection) -> bool:
+            truth = owner[det.index]
+            return truth is None or area_band(truth.box) == band
+
+        groups = []
+        for dets, truths, rows in self.groups:
+            columns = [g for g, gt in enumerate(truths) if area_band(gt.box) == band]
+            if columns:
+                rest = [(det, row) for det, row in zip(dets, rows) if kept(det)]
+                groups.append((
+                    [det for det, _ in rest],
+                    [truths[g] for g in columns],
+                    [[row[g] for g in columns] for _, row in rest],
+                ))
+        matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
+        swept = {c: [d for d in self.by_class.get(c, ()) if kept(d)] for c in counts}
+        return _coco_result(swept, matched, counts).ap
+
+    def global_ap(self, iou_threshold: float) -> float | None:
+        total = self.ground_truths.total_count
+        if total == 0:
+            return None
+        return average_precision(_curve(self.order, self.matched[iou_threshold], total), "continuous")
+
+    def per_image_ap(self, iou_threshold: float) -> float | None:
+        values: list[float] = []
+        for image_id in sorted(self.ground_truths.image_ids):
+            num_gt = len(self.ground_truths.for_image(image_id))
+            if num_gt == 0:
+                continue
+            curve = _curve(self.by_image.get(image_id, ()), self.matched[iou_threshold], num_gt)
+            values.append(average_precision(curve, "continuous"))
+        return _mean(values)
 
 
-def _tp_flags(
-    detections: DetectionResultSet,
-    ground_truths: GroundTruthSet,
-    iou_threshold: float,
-    class_id: int,
-    image_ids: Sequence[int],
-) -> dict[int, bool]:
-    """Map detection input index -> matched?, for one class over the given images."""
-    flags: dict[int, bool] = {}
-    for image_id in image_ids:
-        table = match(detections, ground_truths, iou_threshold, class_id, image_id)
-        for pos, det in enumerate(table.detections):
-            flags[det.index] = table.detection_matches[pos] is not None
-    return flags
+def _class_aps(
+    swept: Mapping[int, Sequence[Detection]],
+    matched: Sequence[GroundTruth | None],
+    counts: Mapping[int, int],
+    interpolation: str,
+) -> dict[int, float]:
+    """AP per class in ascending class order; counts holds each class's truth count."""
+    return {
+        c: average_precision(_curve(swept.get(c, ()), matched, counts[c]), interpolation)
+        for c in sorted(counts)
+    }
 
 
-def _curve_from_flags(swept: Sequence[Detection], flags: Mapping[int, bool], num_gt: int) -> PRCurve:
+def _coco_result(
+    swept: Mapping[int, Sequence[Detection]],
+    matched: Mapping[float, Sequence[GroundTruth | None]],
+    counts: Mapping[int, int],
+) -> CocoAPResult:
+    by_threshold = {
+        t: _mean(list(_class_aps(swept, matched[t], counts, "101-point").values()))
+        for t in COCO_IOU_THRESHOLDS
+    }
+    values = [by_threshold[t] for t in COCO_IOU_THRESHOLDS]
+    ap = None if any(v is None for v in values) else sum(values) / len(values)
+    return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
+
+
+def _curve(swept: Iterable[Detection], matched: Sequence[GroundTruth | None], num_gt: int) -> PRCurve:
+    """The PR sweep over detections in sweep order; matched[det.index] is None for a false positive."""
     points: list[tuple[float, float]] = []
     tp = 0
     fp = 0
     for det in swept:
-        if flags[det.index]:
+        if matched[det.index] is not None:
             tp += 1
         else:
             fp += 1
@@ -300,13 +425,11 @@ def pr_curve(
     raises NoGroundTruthError when that count is zero (callers exclude such
     classes from any mean).
     """
-    _require_known_images(detections, ground_truths)
+    evaluation = _Evaluation(detections, ground_truths, (iou_threshold,))
     num_gt = ground_truths.class_count(class_id)
     if num_gt == 0:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
-    flags = _tp_flags(detections, ground_truths, iou_threshold, class_id, ground_truths.image_ids)
-    swept = _sweep_order(d for d in detections if d.class_id == class_id)
-    return _curve_from_flags(swept, flags, num_gt)
+    return _curve(evaluation.by_class.get(class_id, ()), evaluation.matched[iou_threshold], num_gt)
 
 
 def _envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -356,11 +479,7 @@ def per_class_ap(
     interpolation: str = "continuous",
 ) -> dict[int, float]:
     """AP per class, for every class with at least one ground truth."""
-    out: dict[int, float] = {}
-    for class_id in ground_truths.classes_with_truth():
-        curve = pr_curve(detections, ground_truths, iou_threshold, class_id)
-        out[class_id] = average_precision(curve, interpolation)
-    return out
+    return _Evaluation(detections, ground_truths, (iou_threshold,)).class_aps(iou_threshold, interpolation)
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -395,17 +514,7 @@ def coco_ap(detections: DetectionResultSet, ground_truths: GroundTruthSet) -> Co
     and ap75 are the 0.50 and 0.75 entries.  All values are None when no
     class has ground truth.
     """
-    classes = ground_truths.classes_with_truth()
-    by_threshold: dict[float, float | None] = {}
-    for threshold in COCO_IOU_THRESHOLDS:
-        aps = [
-            average_precision(pr_curve(detections, ground_truths, threshold, c), "101-point")
-            for c in classes
-        ]
-        by_threshold[threshold] = _mean(aps)
-    values = [by_threshold[t] for t in COCO_IOU_THRESHOLDS]
-    ap = None if any(v is None for v in values) else sum(values) / len(values)
-    return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
+    return _Evaluation(detections, ground_truths, COCO_IOU_THRESHOLDS).coco()
 
 
 def area_band(box: Box) -> str:
@@ -418,61 +527,19 @@ def area_band(box: Box) -> str:
     return "large"
 
 
-def _band_restricted_sets(
-    detections: DetectionResultSet, ground_truths: GroundTruthSet, band: str
-) -> tuple[DetectionResultSet, GroundTruthSet]:
-    """Drop detections owned by other bands; keep only the band's ground truths.
-
-    A detection whose greedy match over the full truth set at IOU 0.5 lands on
-    an out-of-band truth belongs to that truth's band, so it is removed from
-    this band's sweep instead of counting as a false positive here.
-    """
-    band_truths = ground_truths.filter_boxes(lambda gt: area_band(gt.box) == band)
-    dropped: set[int] = set()
-    det_classes = sorted({d.class_id for d in detections})
-    for image_id in ground_truths.image_ids:
-        truths = ground_truths.for_image(image_id)
-        for class_id in det_classes:
-            table = match(detections, ground_truths, 0.5, class_id, image_id)
-            class_truths = [gt for gt in truths if gt.class_id == class_id]
-            for pos, det in enumerate(table.detections):
-                matched = table.detection_matches[pos]
-                if matched is not None and area_band(class_truths[matched].box) != band:
-                    dropped.add(det.index)
-    return detections.filter(lambda d: d.index not in dropped), band_truths
-
-
 def ap_by_area(
     detections: DetectionResultSet, ground_truths: GroundTruthSet, band: str
 ) -> float | None:
     """COCO-style threshold-averaged AP restricted to truths of one size band.
 
-    None when the band contains no ground truth.
+    A detection whose greedy match over the full truth set at IOU 0.5 lands on
+    a truth of another band belongs to that band: it is left out here instead
+    of counting as a false positive.  None when the band contains no ground
+    truth.
     """
     if band not in AREA_BANDS:
         raise ValueError(f"band must be one of {AREA_BANDS}, got {band!r}")
-    _require_known_images(detections, ground_truths)
-    kept, band_truths = _band_restricted_sets(detections, ground_truths, band)
-    if band_truths.total_count == 0:
-        return None
-    return coco_ap(kept, band_truths).ap
-
-
-def _pooled_curve(
-    detections: DetectionResultSet,
-    ground_truths: GroundTruthSet,
-    iou_threshold: float,
-    image_ids: Sequence[int],
-    num_gt: int,
-) -> PRCurve:
-    """All classes pooled into one ranking; matching stays class-correct."""
-    image_set = set(image_ids)
-    pool = [d for d in detections if d.image_id in image_set]
-    flags: dict[int, bool] = {}
-    for class_id in sorted({d.class_id for d in pool}):
-        flags.update(_tp_flags(detections, ground_truths, iou_threshold, class_id, image_ids))
-    swept = _sweep_order(pool)
-    return _curve_from_flags(swept, flags, num_gt)
+    return _Evaluation(detections, ground_truths, (0.5,)).band_ap(band)
 
 
 def global_ap(
@@ -486,14 +553,7 @@ def global_ap(
     cross-class score calibration affects the result.  None when there is no
     ground truth at all.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
-    _require_known_images(detections, ground_truths)
-    total = ground_truths.total_count
-    if total == 0:
-        return None
-    curve = _pooled_curve(detections, ground_truths, iou_threshold, ground_truths.image_ids, total)
-    return average_precision(curve, "continuous")
+    return _Evaluation(detections, ground_truths, (iou_threshold,)).global_ap(iou_threshold)
 
 
 def per_image_ap(
@@ -504,17 +564,7 @@ def per_image_ap(
     Images without any ground truth are skipped (detections there go unjudged);
     None when no image has ground truth.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
-    _require_known_images(detections, ground_truths)
-    values: list[float] = []
-    for image_id in sorted(ground_truths.image_ids):
-        num_gt = len(ground_truths.for_image(image_id))
-        if num_gt == 0:
-            continue
-        curve = _pooled_curve(detections, ground_truths, iou_threshold, (image_id,), num_gt)
-        values.append(average_precision(curve, "continuous"))
-    return _mean(values)
+    return _Evaluation(detections, ground_truths, (iou_threshold,)).per_image_ap(iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -539,89 +589,31 @@ def evaluate(
     iou_threshold: float = 0.5,
     shards: int = 1,
 ) -> MetricReport:
-    """Compute every report field, optionally spreading work over shards.
+    """Compute every report field from one matching pass.
 
-    Work is cut into pure units keyed by (metric, class, threshold); with
-    shards > 1 the units run on a thread pool of that size.  Results are
-    reduced in sorted key order, so the report is identical for any shard
-    count.  iou_threshold applies to the two pooled metrics only; the
-    per-class families use their own fixed thresholds.
+    The pass matches at the ten COCO thresholds plus iou_threshold, which
+    applies to the two pooled metrics only; the per-class families use their
+    own fixed thresholds.  Size bands reuse the IOU-0.5 matches to decide
+    which band owns each detection (see ap_by_area).  shards is kept for
+    compatibility: it must be positive, starts no threads and changes nothing.
     """
     if shards <= 0:
         raise ValueError(f"shards must be positive, got {shards!r}")
-    _require_known_images(detections, ground_truths)
-    classes = ground_truths.classes_with_truth()
-
-    units: dict[tuple, Callable[[], float | None]] = {}
-
-    def voc_unit(c: int) -> Callable[[], float]:
-        return lambda: average_precision(pr_curve(detections, ground_truths, 0.5, c), "continuous")
-
-    def coco_unit(c: int, t: float) -> Callable[[], float]:
-        return lambda: average_precision(pr_curve(detections, ground_truths, t, c), "101-point")
-
-    for c in classes:
-        units[("voc", c)] = voc_unit(c)
-        for t in COCO_IOU_THRESHOLDS:
-            units[("coco", c, t)] = coco_unit(c, t)
-
-    band_inputs = {band: _band_restricted_sets(detections, ground_truths, band) for band in AREA_BANDS}
-
-    def band_unit(band: str, c: int, t: float) -> Callable[[], float]:
-        kept, band_truths = band_inputs[band]
-        return lambda: average_precision(pr_curve(kept, band_truths, t, c), "101-point")
-
-    for band in AREA_BANDS:
-        _, band_truths = band_inputs[band]
-        for c in band_truths.classes_with_truth():
-            for t in COCO_IOU_THRESHOLDS:
-                units[("area", band, c, t)] = band_unit(band, c, t)
-
-    units[("global",)] = lambda: global_ap(detections, ground_truths, iou_threshold)
-    units[("per_image",)] = lambda: per_image_ap(detections, ground_truths, iou_threshold)
-
-    keys = sorted(units, key=str)
-    if shards == 1:
-        results = {key: units[key]() for key in keys}
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            futures = {key: pool.submit(units[key]) for key in keys}
-            results = {key: futures[key].result() for key in keys}
-
-    per_class = {c: results[("voc", c)] for c in classes}
-    voc50 = _mean([per_class[c] for c in classes])
-
-    coco_by_threshold = [
-        _mean([results[("coco", c, t)] for c in classes]) for t in COCO_IOU_THRESHOLDS
-    ]
-    ap = None if any(v is None for v in coco_by_threshold) else sum(coco_by_threshold) / len(coco_by_threshold)
-    ap50 = coco_by_threshold[COCO_IOU_THRESHOLDS.index(0.5)]
-    ap75 = coco_by_threshold[COCO_IOU_THRESHOLDS.index(0.75)]
-
-    band_values: dict[str, float | None] = {}
-    for band in AREA_BANDS:
-        _, band_truths = band_inputs[band]
-        band_classes = band_truths.classes_with_truth()
-        if not band_classes:
-            band_values[band] = None
-            continue
-        per_threshold = [
-            _mean([results[("area", band, c, t)] for c in band_classes])
-            for t in COCO_IOU_THRESHOLDS
-        ]
-        band_values[band] = sum(per_threshold) / len(per_threshold)
-
+    extra = () if iou_threshold in COCO_IOU_THRESHOLDS else (iou_threshold,)
+    evaluation = _Evaluation(detections, ground_truths, COCO_IOU_THRESHOLDS + extra)
+    per_class = evaluation.class_aps(0.5, "continuous")
+    coco = evaluation.coco()
     return MetricReport(
-        voc50=voc50,
-        ap=ap,
-        ap50=ap50,
-        ap75=ap75,
-        ap_small=band_values["small"],
-        ap_medium=band_values["medium"],
-        ap_large=band_values["large"],
+        voc50=_mean([per_class[c] for c in sorted(per_class)]),
+        ap=coco.ap,
+        ap50=coco.ap50,
+        ap75=coco.ap75,
+        ap_small=evaluation.band_ap("small"),
+        ap_medium=evaluation.band_ap("medium"),
+        ap_large=evaluation.band_ap("large"),
         per_class_ap=per_class,
-        global_ap=results[("global",)],
-        per_image_ap=results[("per_image",)],
+        global_ap=evaluation.global_ap(iou_threshold),
+        per_image_ap=evaluation.per_image_ap(iou_threshold),
     )
 
 

@@ -198,3 +198,68 @@ def oracle_per_image_ap(scenario: Scenario, iou_threshold: float = 0.5) -> Fract
     if not values:
         return None
     return sum(values) / len(values)
+
+
+COCO_THRESHOLDS = tuple(t / 100 for t in range(50, 100, 5))
+
+
+def oracle_band(corners: Corners) -> str:
+    """Size band of a truth box by its area: small < 32^2 <= medium < 96^2 <= large."""
+    area = (corners[2] - corners[0]) * (corners[3] - corners[1])
+    if area < 32 * 32:
+        return "small"
+    if area < 96 * 96:
+        return "medium"
+    return "large"
+
+
+def oracle_matches(scenario: Scenario, iou_threshold: float) -> dict[int, int | None]:
+    """Greedy per-(image, class) matching; maps det position -> matched truth position."""
+    matches: dict[int, int | None] = {}
+    for img in scenario.images:
+        for cls in scenario.classes:
+            truths = [g for g, gt in enumerate(scenario.gts) if gt[0] == img and gt[1] == cls]
+            cands = [j for j, d in enumerate(scenario.dets) if d[0] == img and d[1] == cls]
+            cands.sort(key=lambda j: (-scenario.dets[j][2], j))
+            free = list(truths)
+            for j in cands:
+                best = None
+                best_value = -1.0
+                for g in free:  # ascending truth position, so IOU ties go to the first
+                    value = corner_iou(scenario.dets[j][3], scenario.gts[g][2])
+                    if value >= iou_threshold and value > best_value:
+                        best_value = value
+                        best = g
+                matches[j] = best
+                if best is not None:
+                    free.remove(best)
+    return matches
+
+
+def oracle_coco_ap(scenario: Scenario) -> Fraction | None:
+    """Mean over the ten COCO thresholds of the class-mean 101-point AP."""
+    classes = oracle_classes_with_truth(scenario)
+    if not classes:
+        return None
+    per_threshold = [
+        sum(oracle_class_ap(scenario, c, t, "101-point") for c in classes) / len(classes)
+        for t in COCO_THRESHOLDS
+    ]
+    return sum(per_threshold) / len(per_threshold)
+
+
+def oracle_ap_by_area(scenario: Scenario, band: str) -> Fraction | None:
+    """COCO AP over one band's truths.
+
+    A detection matched at IOU 0.5 against the full truth set belongs to its
+    truth's band; the other bands drop it from both ranking and matching.
+    """
+    band_gts = tuple(gt for gt in scenario.gts if oracle_band(gt[2]) == band)
+    if not band_gts:
+        return None
+    owners = oracle_matches(scenario, 0.5)
+    kept = tuple(
+        det for j, det in enumerate(scenario.dets)
+        if owners[j] is None or oracle_band(scenario.gts[owners[j]][2]) == band
+    )
+    return oracle_coco_ap(Scenario(scenario.images, scenario.classes, band_gts, kept))

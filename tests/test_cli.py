@@ -84,6 +84,25 @@ class TestEval:
         assert code == EXIT_DATA_ERROR
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "bbox",
+        [
+            "[NaN, 10, 20, 20]",
+            "[10, 10, Infinity, 20]",
+            "[1e308, 10, 1e308, 20]",
+            "[0, 0, 1e200, 1e200]",
+            "[10, 10, 1" + "0" * 400 + ", 20]",
+        ],
+        ids=["nan", "infinity", "edge-overflow", "area-overflow", "huge-integer"],
+    )
+    def test_non_finite_bbox_is_data_error(self, tmp_path, bbox):
+        dets = tmp_path / "dets.json"
+        dets.write_text(f'[{{"image_id": 1, "category_id": 1, "bbox": {bbox}, "score": 0.5}}]', encoding="utf-8")
+        code, out, err = run_cli(["eval", "--gt", GT, "--dets", str(dets)])
+        assert code == EXIT_DATA_ERROR
+        assert "result #0" in err
+        assert out == ""
+
     def test_bad_iou_is_semantic_error(self):
         code, _, err = run_cli(["eval", "--gt", GT, "--dets", DETS_B, "--iou", "1.5"])
         assert code == EXIT_SEMANTIC_ERROR
@@ -141,6 +160,14 @@ class TestAnchors:
     def test_malformed_boxes_file_is_data_error(self, tmp_path):
         bad = tmp_path / "dims.txt"
         bad.write_text("10 13\noops\n", encoding="utf-8")
+        code, _, err = run_cli(["anchors", "--boxes", str(bad), "--k", "1", "--scales", "1"])
+        assert code == EXIT_DATA_ERROR
+        assert "line 2" in err
+
+    @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
+    def test_non_finite_size_is_data_error(self, tmp_path, line):
+        bad = tmp_path / "dims.txt"
+        bad.write_text(f"10 13\n{line}\n", encoding="utf-8")
         code, _, err = run_cli(["anchors", "--boxes", str(bad), "--k", "1", "--scales", "1"])
         assert code == EXIT_DATA_ERROR
         assert "line 2" in err
@@ -262,6 +289,14 @@ class TestPlotdata:
         table.write_text("method\ttime_ms\tmetric\n", encoding="utf-8")
         code, out, _ = run_cli(["plotdata", "--table", str(table)])
         assert code == EXIT_OK and out == ""
+
+    def test_infinite_time_is_data_error(self, tmp_path):
+        table = tmp_path / "t.tsv"
+        table.write_text("method\ttime_ms\tmetric\nx\tinf\t50\n", encoding="utf-8")
+        code, out, err = run_cli(["plotdata", "--table", str(table)])
+        assert code == EXIT_DATA_ERROR
+        assert "line 2" in err
+        assert out == ""
 
     def test_bad_header_is_data_error(self, tmp_path):
         table = tmp_path / "t.tsv"

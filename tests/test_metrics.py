@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from detkit import (
@@ -222,7 +224,50 @@ class TestAveragePrecision:
                 assert abs(cont - grid) <= 1 / 101 + 1e-12
 
 
+@st.composite
+def band_scenarios(draw) -> oracles.Scenario:
+    """Clusters of overlapping same-class truths whose areas straddle a band boundary."""
+    images = (1, 2)
+    classes = (1, 2)
+    gts = []
+    for _ in range(draw(st.integers(1, 3))):
+        img, cls = draw(st.sampled_from(images)), draw(st.sampled_from(classes))
+        side = draw(st.sampled_from((32, 96)))  # a band boundary is side^2
+        left, top = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        for _ in range(draw(st.integers(1, 3))):
+            dx, dy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            w, h = side + draw(st.integers(-3, 3)), side + draw(st.integers(-3, 3))
+            gts.append((img, cls, (left + dx, top + dy, left + dx + w, top + dy + h)))
+    dets = []
+    scores = draw(st.lists(st.integers(1, 128), min_size=1, max_size=8, unique=True))
+    for score in scores:
+        img, cls, (left, top, right, bottom) = draw(st.sampled_from(gts))
+        dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        dw = draw(st.integers(-4, 4))
+        if draw(st.booleans()) and draw(st.booleans()):
+            cls = draw(st.sampled_from(classes))
+        dets.append((img, cls, score / 128.0, (left + dx, top + dy, right + dx + dw, bottom + dy)))
+    return oracles.Scenario(images, classes, tuple(gts), tuple(dets))
+
+
 class TestAgainstExactOracle:
+    @given(band_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_coco_family_and_size_bands_match_rational_arithmetic(self, scenario):
+        dets, truths = oracles.to_library(scenario)
+        report = evaluate(dets, truths)
+        want = oracles.oracle_coco_ap(scenario)
+        assert abs(coco_ap(dets, truths).ap - float(want)) <= 1e-12
+        assert abs(report.ap - float(want)) <= 1e-12
+        for band in AREA_BANDS:
+            want = oracles.oracle_ap_by_area(scenario, band)
+            got = ap_by_area(dets, truths, band)
+            assert got == getattr(report, f"ap_{band}")
+            if want is None:
+                assert got is None
+            else:
+                assert abs(got - float(want)) <= 1e-12, band
+
     def test_per_class_ap_matches_rational_arithmetic(self):
         for seed in range(40):
             scenario = oracles.random_scenario(seed)
@@ -355,6 +400,16 @@ class TestAreaBands:
         assert ap_by_area(dets, truths, "small") == 1.0
         assert ap_by_area(dets, truths, "large") == 1.0
         assert ap_by_area(dets, truths, "medium") is None
+
+    def test_owned_detection_leaves_the_band_rematch(self):
+        small, medium = (50, 50, 81, 81), (49, 49, 82, 82)  # areas 31^2 and 33^2
+        truths = _truths([(1, 1, small), (1, 1, medium)])
+        dets = _dets([(1, 1, 0.9, medium), (1, 1, 0.8, small)])
+        # the 0.9 detection owns the medium truth; were it re-matched in the
+        # small band it would take the small truth (IOU 961/1089) at every
+        # threshold up to 0.85, and the small AP would fall to 0.2
+        assert ap_by_area(dets, truths, "small") == 1.0
+        assert evaluate(dets, truths).ap_small == 1.0
 
     def test_unmatched_overlap_stays_false_positive(self):
         truths = _truths([(1, 1, (0, 0, 10, 10)), (1, 1, (100, 100, 300, 300))])
