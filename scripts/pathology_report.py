@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from detkit import evaluate, pathology_fixture, per_class_ap
+from detkit import evaluate, pathology_fixture
 
 FIELDS = (
     "voc50", "ap", "ap50", "ap75",
@@ -39,13 +39,12 @@ def main() -> int:
 
     if args.format == "json":
         doc = {
-            name: {field: getattr(report, field) for field in FIELDS}
+            name: {
+                **{field: getattr(report, field) for field in FIELDS},
+                "per_class_ap": {str(c): ap for c, ap in sorted(report.per_class_ap.items())},
+            }
             for name, report in reports.items()
         }
-        for name, dets in (("detector_a", dets_a), ("detector_b", dets_b)):
-            doc[name]["per_class_ap"] = {
-                str(c): ap for c, ap in sorted(per_class_ap(dets, truths).items())
-            }
         print(json.dumps(doc, indent=2))
         return 0
 
@@ -56,8 +55,8 @@ def main() -> int:
         print(f"{field}\t{a}\t{b}")
     names = dict(truths.categories)
     for c in sorted(truths.classes_with_truth()):
-        a = fmt(per_class_ap(dets_a, truths)[c])
-        b = fmt(per_class_ap(dets_b, truths)[c])
+        a = fmt(reports["detector_a"].per_class_ap[c])
+        b = fmt(reports["detector_b"].per_class_ap[c])
         print(f"ap50[{names[c]}]\t{a}\t{b}")
     return 0
 

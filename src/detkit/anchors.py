@@ -8,6 +8,7 @@ is available for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,8 +33,8 @@ class DimensionSample:
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0.0 and self.height > 0.0):
-            raise ValueError(f"sample size must be positive, got {self.width!r} x {self.height!r}")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError(f"sample size must be positive and finite, got {self.width!r} x {self.height!r}")
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_anchors(args: argparse.Namespace) -> int:
-    if args.k % args.scales != 0:
+    if args.scales < 1 or args.k % args.scales != 0:
         raise NotDivisibleError(f"--k {args.k} does not split into --scales {args.scales} equal groups")
     samples = load_dimension_samples(args.boxes)
     result = kmeans_anchors(samples, args.k, max_iters=args.iters, seed=args.seed, distance=args.distance)
@@ -216,10 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValidationError, InsufficientSamplesError, OSError) as err:
         print(f"detkit: {err}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except (NotDivisibleError, OutOfBoundsError) as err:
-        print(f"detkit: {err}", file=sys.stderr)
-        return EXIT_SEMANTIC_ERROR
-    except ValueError as err:
+    except (OutOfBoundsError, ValueError) as err:  # NotDivisibleError is a ValueError
         print(f"detkit: {err}", file=sys.stderr)
         return EXIT_SEMANTIC_ERROR
 

@@ -7,13 +7,14 @@ coordinates are image pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in center form."""
+    """Axis-aligned rectangle in center form: finite fields and corners, positive finite area."""
 
     center_x: float
     center_y: float
@@ -25,6 +26,11 @@ class Box:
             raise ValueError(f"box width must be positive, got {self.width!r}")
         if not (self.height > 0.0):
             raise ValueError(f"box height must be positive, got {self.height!r}")
+        # On each axis the farther edge lies |center| + half the size from 0.
+        far_x = abs(self.center_x) + self.width / 2.0
+        far_y = abs(self.center_y) + self.height / 2.0
+        if not (math.isfinite(far_x) and math.isfinite(far_y) and 0.0 < self.width * self.height < math.inf):
+            raise ValueError(f"box corners must be finite and area positive and finite, got {self!r}")
 
     @property
     def left(self) -> float:
@@ -93,6 +99,11 @@ def iou(a: Box, b: Box) -> float:
     return inter / (area_a + area_b - inter)
 
 
+def _check_threshold(iou_threshold: float) -> None:
+    if not (0.0 <= iou_threshold <= 1.0):
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
+
+
 def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
     """Greedy per-class non-maximum suppression.
 
@@ -101,8 +112,7 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     the same class_id is <= iou_threshold.  Kept boxes come back in the visit
     order, i.e. by descending score, with their fields untouched.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
+    _check_threshold(iou_threshold)
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     kept: list[ScoredBox] = []
     for i in order:

@@ -15,11 +15,12 @@ the per-class mean is blind to ranking defects that both alternatives expose.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .geometry import Box, ScoredBox, iou
+from .geometry import Box, ScoredBox, _check_threshold, iou
 
 SMALL_AREA_MAX = 32.0 * 32.0
 MEDIUM_AREA_MAX = 96.0 * 96.0
@@ -48,8 +49,11 @@ class ImageInfo:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image {self.image_id}: size must be positive")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf and value == int(value)):
+                raise ValueError(f"image {self.image_id}: {name} must be a positive whole number, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,11 @@ class GroundTruth:
 
 
 class GroundTruthSet:
-    """Ground-truth boxes grouped by image, with the declared category set."""
+    """Ground-truth boxes grouped by image, with the declared category set.
+
+    Raises ValueError for a duplicate image id, an empty category set, a
+    negative category id, or a truth naming an unregistered image or category.
+    """
 
     def __init__(
         self,
@@ -79,6 +87,9 @@ class GroundTruthSet:
             self._categories = {int(c): str(c) for c in categories}
         if len(self._categories) == 0:
             raise ValueError("at least one category must be declared")
+        for category_id in self._categories:
+            if category_id < 0:
+                raise ValueError(f"category {category_id}: id must be non-negative")
         self._by_image: dict[int, list[GroundTruth]] = {i: [] for i in self._images}
         self._class_totals: dict[int, int] = {}
         self._total = 0
@@ -202,11 +213,6 @@ class MatchTable:
 
 def _sweep_order(detections: Iterable[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: (-d.score, d.index))
-
-
-def _check_threshold(iou_threshold: float) -> None:
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
 
 
 def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:

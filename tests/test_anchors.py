@@ -42,6 +42,11 @@ class TestDimensionSample:
         with pytest.raises(ValueError):
             DimensionSample(width=5.0, height=-1.0)
 
+    @pytest.mark.parametrize("width,height", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite(self, width, height):
+        with pytest.raises(ValueError, match="finite"):
+            DimensionSample(width=width, height=height)
+
 
 class TestKmeansAnchors:
     def test_k_equals_distinct_samples(self):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
 from detkit import fixture_path
@@ -103,6 +105,42 @@ class TestEval:
         assert "result #0" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "change,record",
+        [
+            ({"categories": []}, "at least one category"),
+            ({"categories": [{"id": -1, "name": "a"}]}, "category -1"),
+            ({"images": [{"id": 1, "width": 640.9, "height": 480}]}, "image 1: width"),
+            (
+                {"annotations": [{"id": 4, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1e-200, 1e-200]}]},
+                "annotation 4",
+            ),
+        ],
+        ids=["no-categories", "negative-category", "fractional-width", "area-underflow"],
+    )
+    def test_invalid_dataset_record_is_data_error(self, tmp_path, change, record):
+        gt = tmp_path / "gt.json"
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}], "categories": [{"id": 1, "name": "a"}]}
+        gt.write_text(json.dumps({**doc, "annotations": [], **change}), encoding="utf-8")
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"image_id": 1, "category_id": -1, "bbox": [0, 0, 5, 5], "score": 0.5}]))
+        code, out, err = run_cli(["eval", "--gt", str(gt), "--dets", str(dets)])
+        assert code == EXIT_DATA_ERROR
+        assert record in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, "[" + "1" * 5000 + "]"],
+        ids=["deep-nesting", "over-long-integer"],
+    )
+    def test_undecodable_results_are_data_error(self, tmp_path, text):
+        dets = tmp_path / "dets.json"
+        dets.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["eval", "--gt", GT, "--dets", str(dets)])
+        assert code == EXIT_DATA_ERROR
+        assert "dets.json" in err
+
     def test_bad_iou_is_semantic_error(self):
         code, _, err = run_cli(["eval", "--gt", GT, "--dets", DETS_B, "--iou", "1.5"])
         assert code == EXIT_SEMANTIC_ERROR
@@ -163,6 +201,12 @@ class TestAnchors:
         code, _, err = run_cli(["anchors", "--boxes", str(bad), "--k", "1", "--scales", "1"])
         assert code == EXIT_DATA_ERROR
         assert "line 2" in err
+
+    @pytest.mark.parametrize("scales", ["0", "-3"])
+    def test_non_positive_scales_is_semantic_error(self, scales):
+        code, _, err = run_cli(["anchors", "--boxes", ANCHOR_BOXES, "--k", "9", "--scales", scales])
+        assert code == EXIT_SEMANTIC_ERROR
+        assert f"--scales {scales}" in err
 
     @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
     def test_non_finite_size_is_data_error(self, tmp_path, line):
@@ -323,6 +367,27 @@ class TestDemo:
         assert code == EXIT_USAGE_ERROR
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--gt", "{bad}", "--dets", DETS_B],
+            ["eval", "--gt", GT, "--dets", "{bad}"],
+            ["nms", "--gt", GT, "--dets", "{bad}"],
+            ["anchors", "--boxes", "{bad}", "--k", "1", "--scales", "1"],
+            ["plotdata", "--table", "{bad}"],
+        ],
+        ids=["eval-gt", "eval-dets", "nms-dets", "anchors-boxes", "plotdata-table"],
+    )
+    def test_is_data_error_naming_the_file(self, tmp_path, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\u00e9 10 13\n".encode("latin-1"))
+        code, out, err = run_cli([str(bad) if arg == "{bad}" else arg for arg in argv])
+        assert code == EXIT_DATA_ERROR
+        assert f"{bad}: byte 3: not valid UTF-8" in err
+        assert out == ""
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         code, _, _ = run_cli([])
@@ -346,3 +411,46 @@ class TestTopLevel:
         code, out, _ = run_cli(["--help"])
         assert code == 0
         assert "eval" in out and "anchors" in out
+
+
+# --- CLI fuzz ---------------------------------------------------------------------
+
+# The shipped fixtures, the data directory itself and a missing file.
+_FILES = [GT, DETS_A, DETS_B, ANCHOR_BOXES, TABLE_MAP, TABLE_AP50, str(fixture_path("")), "no-such-file"]
+_NUMBERS = ["0", "-1", "1", "2", "3", "7", "9", "13", "0.5", "1.5", "nan", "inf", "-inf", "x", ""]
+_VALUES = {
+    "--gt": _FILES, "--dets": _FILES, "--boxes": _FILES, "--table": _FILES,
+    "--metric": ["voc50", "coco", "global", "per-image", "all", "map"],
+    "--format": ["tsv", "json", "xml"],
+    "--distance": ["iou", "euclidean", "l1"],
+    "--x": ["time_ms", "metric", "method"], "--y": ["time_ms", "metric", "method"],
+    "--at": ["1,2,1,7", "13,0,0,0", "0,0,3,0", "0,0,0,85", "-1,0,0,0", "1,2", "a,b,c,d"],
+}
+# Per command: how many leading flags are required (always given), then every flag.
+_FLAGS = {
+    "eval": (2, ["--gt", "--dets", "--metric", "--iou", "--format", "--shards"]),
+    "nms": (2, ["--gt", "--dets", "--iou", "--format"]),
+    "anchors": (3, ["--boxes", "--k", "--scales", "--iters", "--seed", "--distance"]),
+    "layout": (3, ["--grid", "--anchors", "--classes", "--at"]),
+    "plotdata": (1, ["--table", "--x", "--y"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, flags = _FLAGS[command]
+    chosen = flags[:required] + draw(st.lists(st.sampled_from(flags + ["--bogus"]), max_size=3))
+    argv = [command]
+    for flag in chosen:
+        argv += [flag, draw(st.sampled_from(_VALUES.get(flag, _NUMBERS)))]
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argvs())
+    def test_every_argv_exits_with_a_documented_code(self, argv):
+        code, _, err = run_cli(argv)  # an uncaught exception fails the test
+        assert code in (EXIT_OK, EXIT_DATA_ERROR, EXIT_USAGE_ERROR, EXIT_SEMANTIC_ERROR)
+        assert "Traceback" not in err

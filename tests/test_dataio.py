@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_boxes_close
 from detkit import (
     Box,
     DetectionResultSet,
+    GroundTruthSet,
     ParseError,
     ScoredBox,
     ValidationError,
+    ap_by_area,
     dump_results,
     fixture_path,
     load_dataset,
@@ -117,6 +122,51 @@ class TestLoadDataset:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope.json")
+
+    def test_whole_valued_float_size_loads_as_int(self, tmp_path):
+        doc = _minimal_doc(images=[{"id": 1, "width": 640.0, "height": 480}])
+        info = load_dataset(_write(tmp_path, "gt.json", doc)).images[1]
+        assert (info.width, info.height) == (640, 480)
+        assert type(info.width) is int
+
+    @pytest.mark.parametrize("width", [640.9, float("nan"), 10**400])
+    def test_size_must_be_a_positive_whole_number(self, tmp_path, width):
+        doc = _minimal_doc(images=[{"id": 1, "width": width, "height": 480}])
+        with pytest.raises(ValidationError, match="image 1: width must be a positive whole number"):
+            load_dataset(_write(tmp_path, "gt.json", doc))
+
+    def test_empty_category_list_rejected(self, tmp_path):
+        doc = _minimal_doc(categories=[], annotations=[])
+        with pytest.raises(ValidationError, match="gt.json: at least one category"):
+            load_dataset(_write(tmp_path, "gt.json", doc))
+
+    def test_negative_category_id_named(self, tmp_path):
+        doc = _minimal_doc(categories=[{"id": 1, "name": "a"}, {"id": -1, "name": "b"}])
+        with pytest.raises(ValidationError, match="category -1"):
+            load_dataset(_write(tmp_path, "gt.json", doc))
+
+    def test_annotation_area_field_is_ignored(self, tmp_path):
+        doc = _minimal_doc()
+        doc["annotations"][0]["area"] = 100000.0  # would make the 30 x 40 box large
+        truths = load_dataset(_write(tmp_path, "gt.json", doc))
+        dets = DetectionResultSet([(1, ScoredBox(truths.for_image(1)[0].box, 0.5, 1))])
+        assert ap_by_area(dets, truths, "medium") == 1.0
+        assert ap_by_area(dets, truths, "large") is None
+
+    def test_non_utf8_file_names_the_byte(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_bytes(b'{"images": [], "\xff": 1}')
+        with pytest.raises(ParseError, match="gt.json: byte 16"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, '{"images": [{"id": ' + "1" * 5000 + "}]}"],
+        ids=["deep-nesting", "over-long-integer"],
+    )
+    def test_undecodable_json_is_parse_error(self, tmp_path, text):
+        with pytest.raises(ParseError, match="gt.json"):
+            load_dataset(_write(tmp_path, "gt.json", text))
 
 
 class TestLoadResults:
@@ -290,3 +340,119 @@ class TestFixturePaths:
     )
     def test_shipped_files_exist(self, name):
         assert fixture_path(name).is_file()
+
+
+# --- loader fuzz ------------------------------------------------------------------
+
+_numbers = st.one_of(
+    st.integers(min_value=-2, max_value=700),
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.sampled_from([0.5, 640.0, 640.9, 1e308]),
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Mostly valid values, with the edge cases a loader must reject or normalise.
+_sizes = st.integers(min_value=1, max_value=700) | st.sampled_from([640.0, 640.9, 0.5, -1])
+_bboxes = st.lists(_sizes, min_size=4, max_size=4)
+
+
+def _slots(doc):
+    """Every (container, key) pair of a JSON document."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            slots.append((node, key))
+            stack.append(value)
+    return slots
+
+
+def _mutate(draw, doc):
+    """doc with up to three values replaced or deleted, or now and then any JSON value."""
+    if draw(st.integers(min_value=0, max_value=9)) == 5:  # not 0, which hypothesis favours
+        return draw(_json)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_numbers | _json)
+    return doc
+
+
+@st.composite
+def _documents(draw):
+    """A dataset document and a results document whose ids agree before mutation."""
+    ids = st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=2, unique=True)
+    image_ids, category_ids = draw(ids), draw(ids)
+    dataset = {
+        "images": [{"id": i, "width": draw(_sizes), "height": draw(_sizes)} for i in image_ids],
+        "categories": [{"id": c, "name": draw(st.text(max_size=2))} for c in category_ids],
+        "annotations": [
+            {
+                "id": n,
+                "image_id": draw(st.sampled_from(image_ids)),
+                "category_id": draw(st.sampled_from(category_ids)),
+                "bbox": draw(_bboxes),
+            }
+            for n in range(draw(st.integers(min_value=0, max_value=2)))
+        ],
+    }
+    results = [
+        {
+            "image_id": draw(st.sampled_from(image_ids)),
+            "category_id": draw(st.sampled_from(category_ids)),
+            "bbox": draw(_bboxes),
+            "score": draw(st.floats(min_value=0.0, max_value=1.0)),
+        }
+        for _ in range(draw(st.integers(min_value=0, max_value=2)))
+    ]
+    return _mutate(draw, dataset), _mutate(draw, results)
+
+
+def _assert_finite_box(box):
+    assert all(math.isfinite(v) for v in (*box.corners(), box.area)) and box.width > 0 and box.height > 0
+
+
+class TestLoaderFuzz:
+    """Any JSON document loads as a valid set or raises ParseError/ValidationError."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents=_documents())
+    def test_documents_load_valid_or_are_rejected(self, workdir, documents):
+        dataset, results = documents
+        gt_path, dets_path = _write(workdir, "gt.json", dataset), _write(workdir, "dets.json", results)
+        try:
+            truths = load_dataset(gt_path)
+        except (ParseError, ValidationError):
+            return
+        assert isinstance(truths, GroundTruthSet)
+        assert truths.categories and min(truths.categories) >= 0
+        widths = {entry["id"]: (entry["width"], entry["height"]) for entry in dataset["images"]}
+        for image_id, info in truths.images.items():
+            assert type(info.width) is int and type(info.height) is int
+            assert (info.width, info.height) == widths[image_id]
+            for gt in truths.for_image(image_id):
+                _assert_finite_box(gt.box)
+        try:
+            dets = load_results(dets_path, truths)
+        except (ParseError, ValidationError):
+            return
+        assert isinstance(dets, DetectionResultSet)
+        for det in dets:
+            assert det.image_id in truths.images and det.class_id in truths.categories
+            assert 0.0 <= det.score <= 1.0
+            _assert_finite_box(det.box)

@@ -39,6 +39,31 @@ class TestBox:
         with pytest.raises(ValueError):
             Box.from_corners(5.0, 0.0, 4.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (math.nan, 0.0, 1.0, 1.0),
+            (math.inf, 0.0, 1.0, 1.0),
+            (0.0, -math.inf, 1.0, 1.0),
+            (0.0, 0.0, math.inf, 1.0),
+            (0.0, math.nan, 1.0, 1.0),
+            (1.5e308, 0.0, 1e308, 1.0),  # right edge overflows
+            (0.0, -1.5e308, 1.0, 1e308),  # top edge overflows
+            (0.0, 0.0, 1e200, 1e200),  # area overflows
+            (0.0, 0.0, 1e-200, 1e-200),  # area underflows to 0, and iou would divide by it
+        ],
+        ids=[
+            "nan-x", "inf-x", "inf-y", "inf-width", "nan-y", "right-edge", "top-edge", "area", "area-underflow"
+        ],
+    )
+    def test_rejects_non_finite_or_overflowing(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            Box(*fields)
+
+    def test_from_corner_size_rejects_overflowing_edge(self):
+        with pytest.raises(ValueError, match="finite"):
+            Box.from_corner_size(1e308, 0.0, 1e308, 1.0)
+
     @given(boxes)
     def test_corner_round_trip(self, b):
         again = Box.from_corners(*b.corners())

@@ -375,6 +375,15 @@ class TestCocoAp:
         assert result.ap75 == 0.0
         assert result.ap == pytest.approx(0.1, abs=1e-12)
 
+    def test_no_max_detections_cap(self):
+        # The reference COCO evaluator keeps an image's 100 best-scoring
+        # detections, which would drop this image's only hit and give AP 0.
+        truths = _truths([(1, 1, (0, 0, 10, 10))])
+        misses = [(1, 1, 0.9, (20 + i, 20, 30 + i, 30)) for i in range(100)]
+        dets = _dets(misses + [(1, 1, 0.5, (0, 0, 10, 10))])
+        assert coco_ap(dets, truths).ap == pytest.approx(1 / 101, rel=1e-12)
+        assert evaluate(dets, truths).ap > 0.0
+
     def test_none_without_truth(self):
         truths = GroundTruthSet(images=[ImageInfo(1, 100, 100)], categories=[1])
         result = coco_ap(_dets([]), truths)
@@ -552,3 +561,22 @@ class TestRegistryValidation:
     def test_needs_a_category(self):
         with pytest.raises(ValueError):
             GroundTruthSet(images=[ImageInfo(1, 10, 10)], categories=[])
+
+    def test_rejects_negative_category_id(self):
+        with pytest.raises(ValueError, match="category -1"):
+            GroundTruthSet(images=[ImageInfo(1, 10, 10)], categories={2: "a", -1: "b"})
+
+
+class TestImageInfo:
+    @pytest.mark.parametrize(
+        "width,height",
+        [(640.9, 480), (640, 479.5), (math.nan, 480), (640, math.inf), (0, 480), (640, -1)],
+    )
+    def test_rejects_non_whole_or_non_positive_sizes(self, width, height):
+        with pytest.raises(ValueError, match="positive whole number"):
+            ImageInfo(1, width, height)
+
+    def test_whole_valued_float_sizes_become_ints(self):
+        info = ImageInfo(1, 640.0, 480.0)
+        assert info == ImageInfo(1, 640, 480)
+        assert type(info.width) is int and type(info.height) is int
