@@ -17,6 +17,7 @@ from .anchors import InsufficientSamplesError, NotDivisibleError, kmeans_anchors
 from .dataio import (
     ParseError,
     ValidationError,
+    demo_map_pathology,
     dump_results,
     load_dataset,
     load_dimension_samples,
@@ -24,7 +25,7 @@ from .dataio import (
     load_speed_table,
 )
 from .geometry import nms
-from .metrics import DetectionResultSet, MetricReport, demo_map_pathology, evaluate
+from .metrics import DetectionResultSet, MetricReport, evaluate
 from .yolo import GridSpec, OutOfBoundsError, tensor_index
 
 EXIT_OK = 0

@@ -5,6 +5,10 @@ large-vocabulary detection benchmark, so real ground-truth and result files
 load directly.  Corner-form bboxes ([left, top, width, height]) are converted
 to center form at this boundary; the rest of the package never sees corner
 form.
+
+demo_map_pathology evaluates the shipped two-detector fixture where the
+per-class mean is blind to ranking defects that the class-pooled and
+per-image APs expose.
 """
 
 from __future__ import annotations
@@ -18,7 +22,15 @@ from typing import Iterable
 
 from .anchors import DimensionSample
 from .geometry import Box, ScoredBox
-from .metrics import Detection, DetectionResultSet, GroundTruth, GroundTruthSet, ImageInfo
+from .metrics import (
+    Detection,
+    DetectionResultSet,
+    GroundTruth,
+    GroundTruthSet,
+    ImageInfo,
+    MetricReport,
+    evaluate,
+)
 
 SPEED_TABLE_HEADER = ("method", "time_ms", "metric")
 
@@ -37,6 +49,43 @@ def fixture_path(name: str) -> Path:
     return Path(str(path))
 
 
+def pathology_fixture() -> tuple[GroundTruthSet, DetectionResultSet, DetectionResultSet]:
+    """The two-detector fixture behind demo_map_pathology: (truths, detector_a, detector_b).
+
+    Read from the shipped pathology_gt.json, pathology_dets_a.json and
+    pathology_dets_b.json.  Detector A finds every truth with a tight box and
+    a confident, consistently ranked score.  Detector B finds the same true
+    boxes, but the cross-image score ordering is swapped and a pile of
+    low-scoring spurious boxes lands between the weakest true detection of one
+    class and the strongest of another.  Within each class every true box
+    still outranks every spurious one, so per-class AP is blind to the damage.
+    """
+    truths = load_dataset(fixture_path("pathology_gt.json"))
+    return (
+        truths,
+        load_results(fixture_path("pathology_dets_a.json"), truths),
+        load_results(fixture_path("pathology_dets_b.json"), truths),
+    )
+
+
+@dataclass(frozen=True)
+class PathologyReports:
+    detector_a: MetricReport
+    detector_b: MetricReport
+
+
+def demo_map_pathology() -> PathologyReports:
+    """Evaluate the shipped fixture where mAP cannot separate two detectors.
+
+    Both detectors score a perfect class-averaged mAP at IOU 0.5, yet detector
+    B buries one class's true detections under another class's spurious ones:
+    the class-pooled global AP and the per-image AP both drop for B while
+    staying at 1.0 for A.
+    """
+    truths, dets_a, dets_b = pathology_fixture()
+    return PathologyReports(evaluate(dets_a, truths), evaluate(dets_b, truths))
+
+
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -50,8 +99,10 @@ def _load_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno} column {err.colno}: {err.msg}") from err
-    except (ValueError, RecursionError) as err:  # an integer literal too long to convert, or nesting too deep
+    except RecursionError as err:  # nesting too deep
         raise ParseError(f"{path}: {err}") from err
+    except ValueError as err:  # past the interpreter's limit on digits in an integer
+        raise ParseError(f"{path}: an integer literal is too long") from err
 
 
 def _build(where: str, make, *args):

@@ -9,8 +9,7 @@ leave it out of both their ranking and their re-matching.
 Alongside the usual per-class AP means (VOC-style mAP at IOU 0.5 and the
 COCO-style threshold sweep), this module provides two rank-sensitive
 alternatives: a class-pooled AP over one global ranking, and the mean of
-class-pooled APs taken per image.  demo_map_pathology builds a fixture where
-the per-class mean is blind to ranking defects that both alternatives expose.
+class-pooled APs taken per image.
 """
 
 from __future__ import annotations
@@ -66,8 +65,10 @@ class GroundTruth:
 class GroundTruthSet:
     """Ground-truth boxes grouped by image, with the declared category set.
 
-    Raises ValueError for a duplicate image id, an empty category set, a
-    negative category id, or a truth naming an unregistered image or category.
+    Whole-valued category ids are stored as int (2.0 becomes 2).  Raises
+    ValueError for a duplicate image id, an empty category set, a category id
+    that is negative, fractional or not finite, or a truth naming an
+    unregistered image or category.
     """
 
     def __init__(
@@ -81,15 +82,15 @@ class GroundTruthSet:
             if info.image_id in self._images:
                 raise ValueError(f"duplicate image id {info.image_id}")
             self._images[info.image_id] = info
-        if isinstance(categories, Mapping):
-            self._categories = dict(categories)
-        else:
-            self._categories = {int(c): str(c) for c in categories}
+        if not isinstance(categories, Mapping):
+            categories = {c: str(c) for c in categories}
+        self._categories: dict[int, str] = {}
+        for category_id, name in categories.items():
+            if not (0 <= category_id < math.inf and category_id == int(category_id)):
+                raise ValueError(f"category {category_id}: id must be a non-negative whole number")
+            self._categories[int(category_id)] = name
         if len(self._categories) == 0:
             raise ValueError("at least one category must be declared")
-        for category_id in self._categories:
-            if category_id < 0:
-                raise ValueError(f"category {category_id}: id must be non-negative")
         self._by_image: dict[int, list[GroundTruth]] = {i: [] for i in self._images}
         self._class_totals: dict[int, int] = {}
         self._total = 0
@@ -621,79 +622,3 @@ def evaluate(
         global_ap=evaluation.global_ap(iou_threshold),
         per_image_ap=evaluation.per_image_ap(iou_threshold),
     )
-
-
-# --- ranking-pathology fixture -------------------------------------------------
-
-_PATHOLOGY_IMAGES = (ImageInfo(1, 640, 480), ImageInfo(2, 640, 480))
-_PATHOLOGY_CATEGORIES = {1: "person", 2: "dog"}
-
-# (image_id, class_id, corner-form bbox)
-_PATHOLOGY_TRUTHS = (
-    (1, 1, (50.0, 50.0, 100.0, 200.0)),
-    (1, 2, (300.0, 200.0, 150.0, 100.0)),
-    (2, 1, (200.0, 100.0, 80.0, 160.0)),
-)
-
-# Detector A: every truth found with a tight box and a confident, consistently
-# ranked score.  (image_id, class_id, bbox, score)
-_PATHOLOGY_DETS_A = (
-    (1, 1, (50.0, 50.0, 100.0, 200.0), 0.95),
-    (1, 2, (300.0, 200.0, 150.0, 100.0), 0.9),
-    (2, 1, (200.0, 100.0, 80.0, 160.0), 0.88),
-)
-
-# Detector B: the same true boxes, but the cross-image score ordering is
-# swapped and a pile of low-scoring spurious boxes lands between the weakest
-# true detection of one class and the strongest of another.  Within each class
-# every true box still outranks every spurious one, so per-class AP is blind
-# to the damage.
-_PATHOLOGY_DETS_B = (
-    (1, 1, (50.0, 50.0, 100.0, 200.0), 0.35),
-    (1, 1, (500.0, 20.0, 60.0, 60.0), 0.34),
-    (1, 1, (500.0, 100.0, 60.0, 60.0), 0.33),
-    (1, 1, (500.0, 180.0, 60.0, 60.0), 0.32),
-    (1, 1, (500.0, 260.0, 60.0, 60.0), 0.31),
-    (1, 2, (300.0, 200.0, 150.0, 100.0), 0.3),
-    (1, 2, (10.0, 400.0, 50.0, 50.0), 0.1),
-    (2, 1, (200.0, 100.0, 80.0, 160.0), 0.92),
-    (2, 2, (500.0, 300.0, 40.0, 40.0), 0.05),
-)
-
-
-def _detections_from_rows(rows) -> DetectionResultSet:
-    return DetectionResultSet(
-        (image_id, ScoredBox(Box.from_corner_size(*bbox), score, class_id))
-        for image_id, class_id, bbox, score in rows
-    )
-
-
-def pathology_fixture() -> tuple[GroundTruthSet, DetectionResultSet, DetectionResultSet]:
-    """The two-detector fixture behind demo_map_pathology: (truths, detector_a, detector_b)."""
-    truths = GroundTruthSet(
-        _PATHOLOGY_IMAGES,
-        _PATHOLOGY_CATEGORIES,
-        (
-            GroundTruth(image_id, class_id, Box.from_corner_size(*bbox))
-            for image_id, class_id, bbox in _PATHOLOGY_TRUTHS
-        ),
-    )
-    return truths, _detections_from_rows(_PATHOLOGY_DETS_A), _detections_from_rows(_PATHOLOGY_DETS_B)
-
-
-@dataclass(frozen=True)
-class PathologyReports:
-    detector_a: MetricReport
-    detector_b: MetricReport
-
-
-def demo_map_pathology() -> PathologyReports:
-    """Evaluate the built-in fixture where mAP cannot separate two detectors.
-
-    Both detectors score a perfect class-averaged mAP at IOU 0.5, yet detector
-    B buries one class's true detections under another class's spurious ones:
-    the class-pooled global AP and the per-image AP both drop for B while
-    staying at 1.0 for A.
-    """
-    truths, dets_a, dets_b = pathology_fixture()
-    return PathologyReports(evaluate(dets_a, truths), evaluate(dets_b, truths))

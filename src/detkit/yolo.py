@@ -376,8 +376,6 @@ def assign_yolo(
     above ignore_threshold are ignored, everything else is negative.  With no
     ground truths every prior is negative.
     """
-    if len(placed_priors) == 0:
-        raise ValueError("at least one prior is required")
     ious = _iou_matrix(placed_priors, list(ground_truths))
     return assign_yolo_from_ious(ious, len(ground_truths), ignore_threshold)
 
@@ -429,8 +427,6 @@ def assign_dual_threshold(
     neg_threshold: float = 0.3,
 ) -> list[AssignmentLabel]:
     """Assign each prior by its maximum overlap against two fixed thresholds."""
-    if len(placed_priors) == 0:
-        raise ValueError("at least one prior is required")
     ious = _iou_matrix(placed_priors, list(ground_truths))
     return assign_dual_threshold_from_ious(ious, len(ground_truths), pos_threshold, neg_threshold)
 

@@ -141,6 +141,14 @@ class TestEval:
         assert code == EXIT_DATA_ERROR
         assert "dets.json" in err
 
+    def test_over_long_integer_message_is_for_cli_users(self, tmp_path):
+        dets = tmp_path / "dets.json"
+        dets.write_text('[{"image_id": ' + "1" * 5000 + "}]", encoding="utf-8")
+        code, out, err = run_cli(["eval", "--gt", GT, "--dets", str(dets)])
+        assert code == EXIT_DATA_ERROR and out == ""
+        assert "dets.json: an integer literal is too long" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_bad_iou_is_semantic_error(self):
         code, _, err = run_cli(["eval", "--gt", GT, "--dets", DETS_B, "--iou", "1.5"])
         assert code == EXIT_SEMANTIC_ERROR

@@ -566,6 +566,21 @@ class TestRegistryValidation:
         with pytest.raises(ValueError, match="category -1"):
             GroundTruthSet(images=[ImageInfo(1, 10, 10)], categories={2: "a", -1: "b"})
 
+    @pytest.mark.parametrize(
+        "categories",
+        [[1.5, 2.9], {1.5: "a"}, [math.nan], {math.nan: "a"}],
+        ids=["fractional-list", "fractional-mapping", "nan-list", "nan-mapping"],
+    )
+    def test_rejects_fractional_or_nan_category_id(self, categories):
+        with pytest.raises(ValueError, match="non-negative whole number"):
+            GroundTruthSet(images=[ImageInfo(1, 10, 10)], categories=categories)
+
+    @pytest.mark.parametrize("categories", [[2.0], {2.0: "a"}], ids=["list", "mapping"])
+    def test_whole_valued_category_ids_become_ints(self, categories):
+        registry = GroundTruthSet(images=[ImageInfo(1, 10, 10)], categories=categories)
+        assert [type(c) for c in registry.categories] == [int]
+        assert list(registry.categories) == [2]
+
 
 class TestImageInfo:
     @pytest.mark.parametrize(

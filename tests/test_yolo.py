@@ -348,6 +348,13 @@ class TestAssignDualThreshold:
                 assert lab.is_negative
 
 
+@pytest.mark.parametrize("assign", [assign_yolo, assign_dual_threshold])
+def test_geometric_wrappers_require_a_prior(assign):
+    truth = Box(center_x=8.0, center_y=8.0, width=4.0, height=4.0)
+    with pytest.raises(ValueError, match="at least one prior"):
+        assign([], [truth])
+
+
 class TestPriorLoss:
     def test_ignored_contributes_nothing(self):
         pred = RawPrediction(1.0, -2.0, 0.5, 0.5, objectness=3.0, class_logits=(1.0, -1.0))
