@@ -128,20 +128,24 @@ def _require_number(value, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _require_box(entry: dict, where: str) -> Box:
+# The per-record checks below raise without the record's name: the loader's
+# loop adds it when a check fails, so a valid record formats no message.
+
+
+def _require_box(entry: dict) -> Box:
     bbox = entry.get("bbox")
     if not isinstance(bbox, list) or len(bbox) != 4:
-        raise ValidationError(f"{where}: bbox must be [left, top, width, height]")
-    return _build(where, Box.from_corner_size, *(_require_number(v, f"{where}: bbox entry") for v in bbox))
+        raise ValidationError("bbox must be [left, top, width, height]")
+    return Box.from_corner_size(*(_require_number(v, "bbox entry") for v in bbox))
 
 
-def _require_registered(registry: GroundTruthSet, entry: dict, where: str) -> tuple[int, int]:
-    image_id = _require_int(entry.get("image_id"), f"{where}: image_id")
+def _require_registered(registry: GroundTruthSet, entry: dict) -> tuple[int, int]:
+    image_id = _require_int(entry.get("image_id"), "image_id")
     if image_id not in registry.images:
-        raise ValidationError(f"{where}: unknown image {image_id}")
-    category_id = _require_int(entry.get("category_id"), f"{where}: category_id")
+        raise ValidationError(f"unknown image {image_id}")
+    category_id = _require_int(entry.get("category_id"), "category_id")
     if category_id not in registry.categories:
-        raise ValidationError(f"{where}: unknown category {category_id}")
+        raise ValidationError(f"unknown category {category_id}")
     return image_id, category_id
 
 
@@ -192,11 +196,13 @@ def load_dataset(path: str | Path) -> GroundTruthSet:
         if annotation_id in seen_annotations:
             raise ValidationError(f"duplicate annotation id {annotation_id}")
         seen_annotations.add(annotation_id)
-        where = f"annotation {annotation_id}"
-        if entry.get("iscrowd"):
-            raise ValidationError(f"{where}: crowd regions unsupported")
-        image_id, category_id = _require_registered(registry, entry, where)
-        truths.append(GroundTruth(image_id, category_id, _require_box(entry, where)))
+        try:
+            if entry.get("iscrowd"):
+                raise ValidationError("crowd regions unsupported")
+            image_id, category_id = _require_registered(registry, entry)
+            truths.append(GroundTruth(image_id, category_id, _require_box(entry)))
+        except ValueError as err:  # a file rule or the Box's own: name the record
+            raise ValidationError(f"annotation {annotation_id}: {err}") from err
 
     return GroundTruthSet(images, categories, truths)
 
@@ -211,13 +217,14 @@ def load_results(path: str | Path, ground_truths: GroundTruthSet) -> DetectionRe
         raise ParseError(f"{path}: top level must be a list of result records")
     rows: list[tuple[int, ScoredBox]] = []
     for position, entry in enumerate(doc):
-        where = f"result #{position}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: records must be objects")
-        image_id, category_id = _require_registered(ground_truths, entry, where)
-        score = _require_number(entry.get("score"), f"{where}: score")
-        box = _require_box(entry, where)
-        rows.append((image_id, _build(where, ScoredBox, box, score, category_id)))
+        try:
+            if not isinstance(entry, dict):
+                raise ValidationError("records must be objects")
+            image_id, category_id = _require_registered(ground_truths, entry)
+            score = _require_number(entry.get("score"), "score")
+            rows.append((image_id, ScoredBox(_require_box(entry), score, category_id)))
+        except ValueError as err:  # a file rule or the Box's or ScoredBox's own: name the record
+            raise ValidationError(f"result #{position}: {err}") from err
     return DetectionResultSet(rows)
 
 

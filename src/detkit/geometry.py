@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Box:
@@ -104,6 +106,60 @@ def _check_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
 
 
+# Candidates per suppression block.  A block costs one IOU matrix with a row
+# per block member, never one over all candidates; 32 rows keep it within
+# cache on a 10,647-box head whose boxes share one class.
+_NMS_BLOCK = 32
+# [i, j] is True where block member j comes after member i.
+_LATER_IN_BLOCK = np.triu(np.ones((_NMS_BLOCK, _NMS_BLOCK), dtype=bool), 1)
+
+
+def _suppressed_by(rows: np.ndarray, cols: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """over[i, j]: iou of row box i and column box j is not <= iou_threshold.
+
+    Boxes are (left, top, right, bottom, area) rows; the arithmetic is iou's,
+    elementwise, so every entry agrees with the scalar comparison exactly.
+    Disjoint pairs get an intersection of 0.0 and so an IOU of 0.0.
+    """
+    left, top, right, bottom, area = (rows[:, k, None] for k in range(5))
+    inter_w = np.minimum(right, cols[:, 2]) - np.maximum(left, cols[:, 0])
+    inter_h = np.minimum(bottom, cols[:, 3]) - np.maximum(top, cols[:, 1])
+    inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
+    return ~(inter / (area + cols[:, 4] - inter) <= iou_threshold)
+
+
+def _greedy_keep(boxes: np.ndarray, label: np.ndarray, ends: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Positions the greedy rule keeps, for boxes grouped by class, each class in visit order.
+
+    label[p] is the class of position p and class k ends before ends[k].
+    Survivors are taken a block at a time from the front, so a block may
+    span several classes, of which only the last can go on past it.  One IOU
+    matrix covers the block against itself and the later survivors of its
+    last class, the only later boxes the block can suppress.  Within the
+    block the same-class suppressing pairs are replayed in visit order; the
+    block's kept boxes of its last class then strike those later survivors.
+    """
+    alive = np.arange(len(boxes))
+    kept = []
+    while alive.size:
+        block = alive[:_NMS_BLOCK]
+        size = len(block)
+        block_label = label[block]
+        window = alive[:np.searchsorted(alive, ends[block_label[-1]])]
+        window_boxes = boxes[window]
+        over = _suppressed_by(window_boxes[:size], window_boxes, iou_threshold)
+        struck = [False] * size
+        pairs = np.nonzero(over[:, :size] & (block_label[:, None] == block_label) & _LATER_IN_BLOCK[:size, :size])
+        for i, j in zip(*(p.tolist() for p in pairs)):  # row-major: i is settled before it strikes
+            if not struck[i]:
+                struck[j] = True
+        keep = ~np.array(struck)
+        kept.append(block[keep])
+        hit = over[keep & (block_label == block_label[-1]), size:].any(axis=0)
+        alive = np.concatenate([window[size:][~hit], alive[len(window):]])
+    return np.concatenate(kept)
+
+
 def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
     """Greedy per-class non-maximum suppression.
 
@@ -111,16 +167,29 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     position).  A candidate is kept iff its IOU with every already-kept box of
     the same class_id is <= iou_threshold.  Kept boxes come back in the visit
     order, i.e. by descending score, with their fields untouched.
+
+    The greedy rule runs on numpy arrays with iou's arithmetic elementwise,
+    so the kept list is the scalar rule's exactly.
     """
     _check_threshold(iou_threshold)
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    kept: list[ScoredBox] = []
+    if not order:
+        return []
+    by_class: dict[int, list[int]] = {}
     for i in order:
-        candidate = detections[i]
-        if all(
-            iou(candidate.box, other.box) <= iou_threshold
-            for other in kept
-            if other.class_id == candidate.class_id
-        ):
-            kept.append(candidate)
-    return kept
+        by_class.setdefault(detections[i].class_id, []).append(i)
+    grouped = [i for members in by_class.values() for i in members]
+    sizes = [len(members) for members in by_class.values()]
+    fields = np.array(
+        [(b.center_x, b.center_y, b.width, b.height) for b in (detections[i].box for i in grouped)], dtype=np.float64
+    )
+    with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
+        center, half = fields[:, :2], fields[:, 2:] / 2.0
+        corners = np.concatenate([center - half, center + half], axis=1)
+        size = corners[:, 2:] - corners[:, :2]
+        boxes = np.column_stack([corners, size[:, 0] * size[:, 1]])
+        kept = _greedy_keep(boxes, np.repeat(np.arange(len(sizes)), sizes), np.cumsum(sizes), iou_threshold)
+    survives = [False] * len(detections)
+    for p in kept.tolist():
+        survives[grouped[p]] = True
+    return [detections[i] for i in order if survives[i]]

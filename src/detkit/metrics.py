@@ -65,7 +65,8 @@ class GroundTruth:
 class GroundTruthSet:
     """Ground-truth boxes grouped by image, with the declared category set.
 
-    Whole-valued category ids are stored as int (2.0 becomes 2).  Raises
+    Whole-valued category ids are stored as int (2.0 becomes 2); given as a
+    list, each category is named by its stored id (2.0 is named "2").  Raises
     ValueError for a duplicate image id, an empty category set, a category id
     that is negative, fractional or not finite, or a truth naming an
     unregistered image or category.
@@ -82,13 +83,14 @@ class GroundTruthSet:
             if info.image_id in self._images:
                 raise ValueError(f"duplicate image id {info.image_id}")
             self._images[info.image_id] = info
-        if not isinstance(categories, Mapping):
-            categories = {c: str(c) for c in categories}
+        named = isinstance(categories, Mapping)
+        declared = categories.items() if named else ((c, None) for c in categories)
         self._categories: dict[int, str] = {}
-        for category_id, name in categories.items():
+        for category_id, name in declared:
             if not (0 <= category_id < math.inf and category_id == int(category_id)):
                 raise ValueError(f"category {category_id}: id must be a non-negative whole number")
-            self._categories[int(category_id)] = name
+            category_id = int(category_id)
+            self._categories[category_id] = name if named else str(category_id)
         if len(self._categories) == 0:
             raise ValueError("at least one category must be declared")
         self._by_image: dict[int, list[GroundTruth]] = {i: [] for i in self._images}

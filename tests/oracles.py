@@ -4,6 +4,10 @@ Everything here works on plain tuples and exact rational arithmetic.  Box
 coordinates are kept integral and scores are multiples of 1/128 so float
 IOU values and sweep orders are reproduced bit-for-bit by any correctly
 rounded implementation, which lets the comparisons demand 1e-12 agreement.
+
+oracle_nms is the exception: the scalar greedy suppression loop over the
+library's ScoredBox objects, with corner_iou, so that nms can be required to
+return the very same objects in the same order.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from detkit import Box, DetectionResultSet, GroundTruth, GroundTruthSet, ImageInfo, ScoredBox
 
@@ -83,6 +88,22 @@ def corner_iou(a: Corners, b: Corners) -> float:
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
+
+
+def oracle_nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
+    """Scalar greedy per-class suppression: visit by score desc then input
+    position, keep a box iff its IOU with every kept box of its class is <= the threshold."""
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    kept: list[ScoredBox] = []
+    for i in order:
+        candidate = detections[i]
+        if all(
+            corner_iou(candidate.box.corners(), other.box.corners()) <= iou_threshold
+            for other in kept
+            if other.class_id == candidate.class_id
+        ):
+            kept.append(candidate)
+    return kept
 
 
 def oracle_tp_flags(scenario: Scenario, iou_threshold: float) -> dict[int, bool]:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_boxes_close, boxes, canvas_boxes, scored_boxes
-from detkit import Box, ScoredBox, iou, nms
+from detkit import Box, ScoredBox, geometry, iou, nms
+from detkit.geometry import _NMS_BLOCK
+from oracles import oracle_nms
 
 
 class TestBox:
@@ -207,3 +210,102 @@ class TestNms:
     def test_idempotent(self, dets, threshold):
         kept = nms(dets, iou_threshold=threshold)
         assert nms(kept, iou_threshold=threshold) == kept
+
+
+# Corners on a half-unit grid and scores from a short list, so that score ties
+# and IOU values exactly at a threshold (2x1 against 1x1 is 0.5) come up often.
+_grid_halves = st.integers(0, 16).map(lambda v: v / 2.0)
+grid_boxes = st.builds(
+    lambda left, top, w, h: Box.from_corners(left, top, left + w, top + h),
+    _grid_halves, _grid_halves, st.integers(1, 8).map(lambda v: v / 2.0), st.integers(1, 8).map(lambda v: v / 2.0),
+)
+grid_scored_boxes = st.builds(
+    ScoredBox,
+    box=grid_boxes,
+    score=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    class_id=st.integers(min_value=0, max_value=2),
+)
+thresholds = st.sampled_from([0.0, 1.0 / 3.0, 0.45, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _random_candidates(seed: int, count: int, classes: int, centers: int, spread: float) -> list[ScoredBox]:
+    """Boxes jittered around a few planted centers, two-decimal scores (so ties occur)."""
+    rng = random.Random(seed)
+    planted = [(rng.uniform(20.0, 396.0), rng.uniform(20.0, 396.0)) for _ in range(centers)]
+    dets = []
+    for _ in range(count):
+        cx, cy = rng.choice(planted)
+        box = Box(cx + rng.gauss(0.0, spread), cy + rng.gauss(0.0, spread),
+                  rng.lognormvariate(3.5, 0.6), rng.lognormvariate(3.5, 0.6))
+        dets.append(ScoredBox(box, round(rng.random(), 2), rng.randrange(classes)))
+    return dets
+
+
+class TestNmsMatchesScalarOracle:
+    """nms keeps exactly the scalar greedy rule's list: same objects, same order."""
+
+    @staticmethod
+    def assert_same_kept(dets, threshold):
+        kept = nms(dets, iou_threshold=threshold)
+        expected = oracle_nms(dets, threshold)
+        assert len(kept) == len(expected)
+        assert all(got is want for got, want in zip(kept, expected))
+
+    @given(st.lists(grid_scored_boxes, max_size=40), thresholds)
+    @example(
+        [ScoredBox(Box.from_corners(0.0, 0.0, 2.0, 1.0), 0.9, 0), ScoredBox(Box.from_corners(0.0, 0.0, 1.0, 1.0), 0.9, 0)],
+        0.5,
+    )
+    @settings(max_examples=150)
+    def test_grid_boxes_with_ties(self, dets, threshold):
+        self.assert_same_kept(dets, threshold)
+
+    @given(st.lists(scored_boxes, max_size=40), thresholds)
+    @settings(max_examples=100)
+    def test_canvas_boxes(self, dets, threshold):
+        self.assert_same_kept(dets, threshold)
+
+    @given(st.lists(st.builds(ScoredBox, box=boxes, score=st.floats(0.0, 1.0), class_id=st.integers(0, 1)), max_size=30),
+           thresholds)
+    @settings(max_examples=60)
+    def test_wide_ranging_boxes(self, dets, threshold):
+        self.assert_same_kept(dets, threshold)
+
+    @given(st.lists(st.builds(ScoredBox, box=grid_boxes, score=st.sampled_from([0.5, 1.0]),
+                              class_id=st.integers(0, 200)), max_size=60), thresholds)
+    @settings(max_examples=60)
+    def test_many_classes(self, dets, threshold):
+        self.assert_same_kept(dets, threshold)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 40]), thresholds)
+    @settings(max_examples=50, deadline=None)
+    def test_more_boxes_than_a_block(self, seed, classes, threshold):
+        # With one class, that class outgrows a block; with more, classes straddle blocks.
+        dets = _random_candidates(seed, count=3 * _NMS_BLOCK + 7, classes=classes, centers=4, spread=10.0)
+        self.assert_same_kept(dets, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_extreme_thresholds(self, threshold):
+        dets = _random_candidates(1, count=2 * _NMS_BLOCK + 3, classes=3, centers=3, spread=10.0)
+        self.assert_same_kept(dets, threshold)
+
+    def test_no_matrix_over_all_candidates(self, monkeypatch):
+        shapes = []
+        suppressed_by = geometry._suppressed_by
+
+        def recording(rows, cols, iou_threshold):
+            shapes.append((len(rows), len(cols)))
+            return suppressed_by(rows, cols, iou_threshold)
+
+        monkeypatch.setattr(geometry, "_suppressed_by", recording)
+        dets = _random_candidates(2, count=4 * _NMS_BLOCK, classes=1, centers=40, spread=30.0)
+        nms(dets, iou_threshold=0.45)
+        assert max(rows for rows, _ in shapes) <= _NMS_BLOCK
+
+    def test_head_sized_frame(self):
+        # Shaped like one decoded 416x416 frame over the score threshold: 80
+        # classes, about 2,500 candidates clustered around 35 objects.
+        dets = _random_candidates(0, count=2520, classes=80, centers=35, spread=8.0)
+        kept = nms(dets, iou_threshold=0.45)
+        assert 0 < len(dets) - len(kept) < len(dets)
+        self.assert_same_kept(dets, 0.45)

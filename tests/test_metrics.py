@@ -581,6 +581,10 @@ class TestRegistryValidation:
         assert [type(c) for c in registry.categories] == [int]
         assert list(registry.categories) == [2]
 
+    def test_list_form_names_each_category_by_its_stored_id(self):
+        registry = GroundTruthSet(images=[ImageInfo(1, 10, 10)], categories=[1.0, 2])
+        assert registry.categories == {1: "1", 2: "2"}
+
 
 class TestImageInfo:
     @pytest.mark.parametrize(
