@@ -119,45 +119,39 @@ def _suppressed_by(rows: np.ndarray, cols: np.ndarray, iou_threshold: float) -> 
 
     Boxes are (left, top, right, bottom, area) rows; the arithmetic is iou's,
     elementwise, so every entry agrees with the scalar comparison exactly.
-    Disjoint pairs get an intersection of 0.0 and so an IOU of 0.0.
+    Pairs without a positive intersection have an IOU of 0.0, as in iou,
+    even where both corner areas are 0.0 and the quotient would be 0/0.
     """
     left, top, right, bottom, area = (rows[:, k, None] for k in range(5))
     inter_w = np.minimum(right, cols[:, 2]) - np.maximum(left, cols[:, 0])
     inter_h = np.minimum(bottom, cols[:, 3]) - np.maximum(top, cols[:, 1])
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
-    return ~(inter / (area + cols[:, 4] - inter) <= iou_threshold)
+    return (inter > 0.0) & ~(inter / (area + cols[:, 4] - inter) <= iou_threshold)
 
 
-def _greedy_keep(boxes: np.ndarray, label: np.ndarray, ends: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Positions the greedy rule keeps, for boxes grouped by class, each class in visit order.
+def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Mask of the boxes the greedy rule keeps among boxes of one class, given in visit order.
 
-    label[p] is the class of position p and class k ends before ends[k].
-    Survivors are taken a block at a time from the front, so a block may
-    span several classes, of which only the last can go on past it.  One IOU
-    matrix covers the block against itself and the later survivors of its
-    last class, the only later boxes the block can suppress.  Within the
-    block the same-class suppressing pairs are replayed in visit order; the
-    block's kept boxes of its last class then strike those later survivors.
+    Survivors are taken a block at a time from the front.  One IOU matrix
+    covers the block against itself and every later survivor.  Within the
+    block the suppressing pairs are replayed in visit order; the block's
+    kept boxes then strike the later survivors they overlap.
     """
+    keep = np.zeros(len(boxes), dtype=bool)
     alive = np.arange(len(boxes))
-    kept = []
     while alive.size:
-        block = alive[:_NMS_BLOCK]
-        size = len(block)
-        block_label = label[block]
-        window = alive[:np.searchsorted(alive, ends[block_label[-1]])]
-        window_boxes = boxes[window]
-        over = _suppressed_by(window_boxes[:size], window_boxes, iou_threshold)
+        size = min(len(alive), _NMS_BLOCK)
+        alive_boxes = boxes[alive]
+        over = _suppressed_by(alive_boxes[:size], alive_boxes, iou_threshold)
         struck = [False] * size
-        pairs = np.nonzero(over[:, :size] & (block_label[:, None] == block_label) & _LATER_IN_BLOCK[:size, :size])
+        pairs = np.nonzero(over[:, :size] & _LATER_IN_BLOCK[:size, :size])
         for i, j in zip(*(p.tolist() for p in pairs)):  # row-major: i is settled before it strikes
             if not struck[i]:
                 struck[j] = True
-        keep = ~np.array(struck)
-        kept.append(block[keep])
-        hit = over[keep & (block_label == block_label[-1]), size:].any(axis=0)
-        alive = np.concatenate([window[size:][~hit], alive[len(window):]])
-    return np.concatenate(kept)
+        block_keep = ~np.array(struck)
+        keep[alive[:size][block_keep]] = True
+        alive = alive[size:][~over[block_keep, size:].any(axis=0)]
+    return keep
 
 
 def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
@@ -173,13 +167,14 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     """
     _check_threshold(iou_threshold)
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    if not order:
-        return []
     by_class: dict[int, list[int]] = {}
     for i in order:
         by_class.setdefault(detections[i].class_id, []).append(i)
-    grouped = [i for members in by_class.values() for i in members]
-    sizes = [len(members) for members in by_class.values()]
+    # A class's first candidate is always kept, so only classes of two or more need IOU.
+    groups = [members for members in by_class.values() if len(members) > 1]
+    if not groups:
+        return [detections[i] for i in order]
+    grouped = [i for members in groups for i in members]
     fields = np.array(
         [(b.center_x, b.center_y, b.width, b.height) for b in (detections[i].box for i in grouped)], dtype=np.float64
     )
@@ -188,8 +183,9 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
         corners = np.concatenate([center - half, center + half], axis=1)
         size = corners[:, 2:] - corners[:, :2]
         boxes = np.column_stack([corners, size[:, 0] * size[:, 1]])
-        kept = _greedy_keep(boxes, np.repeat(np.arange(len(sizes)), sizes), np.cumsum(sizes), iou_threshold)
-    survives = [False] * len(detections)
-    for p in kept.tolist():
-        survives[grouped[p]] = True
+        bounds = np.cumsum([0] + [len(members) for members in groups]).tolist()
+        keep = np.concatenate([_greedy_keep(boxes[a:b], iou_threshold) for a, b in zip(bounds, bounds[1:])])
+    survives = [True] * len(detections)
+    for i, kept in zip(grouped, keep.tolist()):
+        survives[i] = kept
     return [detections[i] for i in order if survives[i]]

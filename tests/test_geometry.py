@@ -227,6 +227,13 @@ grid_scored_boxes = st.builds(
 )
 thresholds = st.sampled_from([0.0, 1.0 / 3.0, 0.45, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
+# A width of 1e-14 does not register at x >= 100: left == right in corner
+# space, so the corner area is 0.0 although the Box's own area is positive.
+_hundreds = st.integers(1, 8).map(lambda v: 100.0 * v)
+_heights = st.integers(1, 8).map(lambda v: v / 2.0)
+thin_boxes = st.builds(lambda left, top, h: Box.from_corner_size(left, top, 1e-14, h), _hundreds, _grid_halves, _heights)
+wide_boxes = st.builds(Box.from_corner_size, _hundreds, _grid_halves, _hundreds, _heights)
+
 
 def _random_candidates(seed: int, count: int, classes: int, centers: int, spread: float) -> list[ScoredBox]:
     """Boxes jittered around a few planted centers, two-decimal scores (so ties occur)."""
@@ -271,6 +278,18 @@ class TestNmsMatchesScalarOracle:
     def test_wide_ranging_boxes(self, dets, threshold):
         self.assert_same_kept(dets, threshold)
 
+    @given(st.lists(st.builds(ScoredBox, box=thin_boxes | wide_boxes, score=st.sampled_from([0.5, 1.0]),
+                              class_id=st.integers(0, 1)), max_size=30), thresholds)
+    @example(
+        [ScoredBox(Box.from_corner_size(100.0, 0.0, 1e-14, 10.0), 0.9, 0),
+         ScoredBox(Box.from_corner_size(300.0, 0.0, 1e-14, 10.0), 0.8, 0)],
+        0.5,
+    )
+    @settings(max_examples=60)
+    def test_boxes_with_zero_corner_area(self, dets, threshold):
+        # Two such boxes never intersect, so their IOU is 0.0 and not 0/0.
+        self.assert_same_kept(dets, threshold)
+
     @given(st.lists(st.builds(ScoredBox, box=grid_boxes, score=st.sampled_from([0.5, 1.0]),
                               class_id=st.integers(0, 200)), max_size=60), thresholds)
     @settings(max_examples=60)
@@ -280,7 +299,7 @@ class TestNmsMatchesScalarOracle:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 40]), thresholds)
     @settings(max_examples=50, deadline=None)
     def test_more_boxes_than_a_block(self, seed, classes, threshold):
-        # With one class, that class outgrows a block; with more, classes straddle blocks.
+        # With one or two classes, each outgrows a block; with 5 or 40, each fits in one.
         dets = _random_candidates(seed, count=3 * _NMS_BLOCK + 7, classes=classes, centers=4, spread=10.0)
         self.assert_same_kept(dets, threshold)
 
