@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from detkit import DimensionSample, kmeans_anchors
+from detkit import DimensionSamples, kmeans_anchors
 
 
 def planted_centers(k: int, rng: np.random.Generator) -> list[tuple[float, float]]:
@@ -35,15 +35,11 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     centers = planted_centers(args.clusters, rng)
-    samples: list[DimensionSample] = []
-    for cx, cy in centers:
-        for _ in range(args.per_cluster):
-            samples.append(DimensionSample(
-                width=cx * (1.0 + rng.uniform(-args.jitter, args.jitter)),
-                height=cy * (1.0 + rng.uniform(-args.jitter, args.jitter)),
-            ))
+    # One (width, height) jitter pair per sample, cluster after cluster.
+    jitter = rng.uniform(-args.jitter, args.jitter, (args.clusters, args.per_cluster, 2))
+    sizes = (np.array(centers)[:, None, :] * (1.0 + jitter)).reshape(-1, 2)
 
-    result = kmeans_anchors(samples, k=args.clusters, seed=args.seed, distance=args.distance)
+    result = kmeans_anchors(DimensionSamples(sizes), k=args.clusters, seed=args.seed, distance=args.distance)
     fitted = sorted(((c.width, c.height) for c in result.centroids), key=lambda c: c[0] * c[1])
     planted = sorted(centers, key=lambda c: c[0] * c[1])
 

@@ -9,8 +9,9 @@ is available for comparison.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,16 @@ class NotDivisibleError(ValueError):
     """The prior count does not split evenly across the requested scales."""
 
 
+def _size_ok(width, height):
+    """The size rule, on two numbers or elementwise on two arrays: both sides positive and finite."""
+    return (0.0 < width) & (width < math.inf) & (0.0 < height) & (height < math.inf)
+
+
+def _require_size(width, height) -> None:
+    if not _size_ok(width, height):
+        raise ValueError(f"sample size must be positive and finite, got {width!r} x {height!r}")
+
+
 @dataclass(frozen=True)
 class DimensionSample:
     """One ground-truth box size (width, height), any consistent unit."""
@@ -33,8 +44,43 @@ class DimensionSample:
     height: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
-            raise ValueError(f"sample size must be positive and finite, got {self.width!r} x {self.height!r}")
+        _require_size(self.width, self.height)
+
+
+class DimensionSamples(Sequence[DimensionSample]):
+    """Box sizes held as one read-only (n, 2) float64 array of (width, height) rows.
+
+    Every row obeys DimensionSample's size rule, checked on the whole array at
+    once; the first bad row raises DimensionSample's ValueError.  As a
+    sequence it builds a DimensionSample per row on demand.
+    """
+
+    __slots__ = ("_sizes",)
+
+    def __init__(self, sizes) -> None:
+        array = np.array(sizes, dtype=np.float64)
+        if array.ndim != 2 or array.shape[1] != 2:
+            raise ValueError(f"sizes must have shape (n, 2), got {array.shape}")
+        bad = np.flatnonzero(~_size_ok(array[:, 0], array[:, 1]))
+        if bad.size:
+            _require_size(*array[bad[0]].tolist())
+        array.flags.writeable = False
+        self._sizes = array
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The (n, 2) array itself; it cannot be written to."""
+        return self._sizes
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def __getitem__(self, index: int) -> DimensionSample:
+        return DimensionSample(*self._sizes[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[DimensionSample]:
+        for width, height in self._sizes.tolist():
+            yield DimensionSample(width, height)
 
 
 @dataclass(frozen=True)
@@ -53,12 +99,15 @@ class ClusteringResult:
 
 def _distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.ndarray:
     """Pairwise distance matrix, shape (num_samples, num_centroids)."""
+    # Columns against rows: (n, 1) op (k,) broadcasts to (n, k).
+    w, h = dims[:, 0:1], dims[:, 1:2]
+    cw, ch = centroids[:, 0], centroids[:, 1]
     if mode == "euclidean":
-        diff = dims[:, None, :] - centroids[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        dw, dh = w - cw, h - ch
+        return np.sqrt(dw * dw + dh * dh)
     # Overlap of two boxes that share a center is min(w)*min(h).
-    inter = np.minimum(dims[:, None, :], centroids[None, :, :]).prod(axis=-1)
-    union = dims.prod(axis=-1)[:, None] + centroids.prod(axis=-1)[None, :] - inter
+    inter = np.minimum(w, cw) * np.minimum(h, ch)
+    union = w * h + cw * ch - inter
     return 1.0 - inter / union
 
 
@@ -100,8 +149,19 @@ def _update_centroids(
     return new
 
 
+def _count_distinct(dims: np.ndarray, stop_at: int) -> int:
+    """Distinct rows of dims, exact when below stop_at; counting ends at the first block of rows that reaches it."""
+    seen: set[tuple[float, float]] = set()
+    step = 4096
+    for start in range(0, len(dims), step):
+        seen.update(map(tuple, dims[start:start + step].tolist()))
+        if len(seen) >= stop_at:
+            break
+    return len(seen)
+
+
 def kmeans_anchors(
-    samples: Sequence[DimensionSample],
+    samples: DimensionSamples | Sequence[DimensionSample],
     k: int,
     max_iters: int = 100,
     seed: int = 0,
@@ -116,8 +176,9 @@ def kmeans_anchors(
     so a non-improving update is rolled back and the run stops there; the
     reported objective history is therefore strictly non-increasing.
 
-    Deterministic for a fixed seed.  Raises InsufficientSamplesError when k
-    exceeds the number of distinct samples.
+    samples is a DimensionSamples, or any sequence of DimensionSample, which
+    is turned into one first.  Deterministic for a fixed seed.  Raises
+    InsufficientSamplesError when k exceeds the number of distinct samples.
     """
     if distance not in ("iou", "euclidean"):
         raise ValueError(f"distance must be 'iou' or 'euclidean', got {distance!r}")
@@ -125,12 +186,12 @@ def kmeans_anchors(
         raise ValueError(f"k must be positive, got {k!r}")
     if max_iters <= 0:
         raise ValueError(f"max_iters must be positive, got {max_iters!r}")
-    distinct = {(s.width, s.height) for s in samples}
-    if k > len(distinct):
-        raise InsufficientSamplesError(
-            f"{k} clusters requested but only {len(distinct)} distinct samples given"
-        )
-    dims = np.array([[s.width, s.height] for s in samples], dtype=float)
+    if not isinstance(samples, DimensionSamples):
+        samples = DimensionSamples(np.array([(s.width, s.height) for s in samples], dtype=np.float64).reshape(-1, 2))
+    dims = samples.sizes
+    distinct = _count_distinct(dims, stop_at=k)
+    if k > distinct:
+        raise InsufficientSamplesError(f"{k} clusters requested but only {distinct} distinct samples given")
     rng = np.random.default_rng(seed)
     centroids = _plusplus_init(dims, k, rng, distance)
 
@@ -153,8 +214,8 @@ def kmeans_anchors(
             break
 
     return ClusteringResult(
-        centroids=tuple(AnchorPrior(float(w), float(h)) for w, h in centroids),
-        assignments=tuple(int(a) for a in assignments),
+        centroids=tuple(AnchorPrior(w, h) for w, h in centroids.tolist()),
+        assignments=tuple(assignments.tolist()),
         objective=history[-1],
         objective_history=tuple(history),
     )

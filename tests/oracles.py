@@ -7,7 +7,10 @@ rounded implementation, which lets the comparisons demand 1e-12 agreement.
 
 oracle_nms is the exception: the scalar greedy suppression loop over the
 library's ScoredBox objects, with corner_iou, so that nms can be required to
-return the very same objects in the same order.
+return the very same objects in the same order.  Likewise
+oracle_load_dimension_samples is the per-line box-size loader and
+oracle_distances the (n, k, 2) k-means distance formulas, so that the array
+versions can be required to give the same arrays and messages bit for bit.
 """
 
 from __future__ import annotations
@@ -15,9 +18,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
-from detkit import Box, DetectionResultSet, GroundTruth, GroundTruthSet, ImageInfo, ScoredBox
+import numpy as np
+
+from detkit import (
+    Box,
+    DetectionResultSet,
+    DimensionSample,
+    GroundTruth,
+    GroundTruthSet,
+    ImageInfo,
+    ParseError,
+    ScoredBox,
+)
+from detkit.dataio import _read_text
 
 Corners = tuple[float, float, float, float]
 
@@ -104,6 +120,34 @@ def oracle_nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[Sc
         ):
             kept.append(candidate)
     return kept
+
+
+def oracle_load_dimension_samples(path: str | Path) -> np.ndarray:
+    """Per-line box-size loader: split each line; skip it when empty or when its
+    first token starts with '#'; otherwise it must hold exactly two tokens that
+    float() reads into a valid DimensionSample.  Returns the (n, 2) array."""
+    samples: list[DimensionSample] = []
+    for line_number, raw in enumerate(_read_text(path).splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"{path}: line {line_number}: expected 'width height', got {raw!r}")
+        try:
+            samples.append(DimensionSample(float(parts[0]), float(parts[1])))
+        except ValueError as err:
+            raise ParseError(f"{path}: line {line_number}: {err}") from err
+    return np.array([[s.width, s.height] for s in samples], dtype=float).reshape(-1, 2)
+
+
+def oracle_distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.ndarray:
+    """k-means distances through (n, k, 2) temporaries: 1 - IOU of co-centered boxes, or euclidean."""
+    if mode == "euclidean":
+        diff = dims[:, None, :] - centroids[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+    inter = np.minimum(dims[:, None, :], centroids[None, :, :]).prod(axis=-1)
+    union = dims.prod(axis=-1)[:, None] + centroids.prod(axis=-1)[None, :] - inter
+    return 1.0 - inter / union
 
 
 def oracle_tp_flags(scenario: Scenario, iou_threshold: float) -> dict[int, bool]:

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from detkit import (
     AnchorPrior,
     DimensionSample,
+    DimensionSamples,
     InsufficientSamplesError,
     NotDivisibleError,
+    anchors,
     kmeans_anchors,
     split_scales,
 )
+from oracles import oracle_distances
 
 sample_dims = st.builds(
     DimensionSample,
@@ -48,7 +51,107 @@ class TestDimensionSample:
             DimensionSample(width=width, height=height)
 
 
+def _benchmark_like_sizes(seed, n):
+    """Log-normal sizes rounded to two decimals, so that rows and distances tie."""
+    rng = np.random.default_rng(seed)
+    widths = np.exp(rng.normal(math.log(50.0), 0.9, n))
+    heights = widths * np.exp(rng.normal(0.0, 0.45, n))
+    return np.maximum(np.round(np.stack([widths, heights], axis=1), 2), 1.0)
+
+
+class TestDimensionSamples:
+    def test_sequence_of_samples_built_on_demand(self):
+        samples = DimensionSamples([[10.0, 13.0], [16, 30], [33.5, 23.25]])
+        assert len(samples) == 3
+        assert samples[0] == DimensionSample(10.0, 13.0)
+        assert samples[-1] == DimensionSample(33.5, 23.25)
+        assert list(samples) == [DimensionSample(10.0, 13.0), DimensionSample(16.0, 30.0), DimensionSample(33.5, 23.25)]
+        assert type(samples[1].width) is float
+        with pytest.raises(IndexError):
+            samples[3]
+        with pytest.raises(IndexError):
+            samples[-4]
+
+    def test_holds_a_read_only_copy(self):
+        sizes = np.array([[10.0, 13.0], [16.0, 30.0]])
+        samples = DimensionSamples(sizes)
+        sizes[0, 0] = 99.0
+        assert samples.sizes.dtype == np.float64 and samples.sizes.shape == (2, 2)
+        assert samples.sizes[0, 0] == 10.0
+        with pytest.raises(ValueError):
+            samples.sizes[0, 0] = 1.0
+
+    def test_empty(self):
+        samples = DimensionSamples(np.empty((0, 2)))
+        assert len(samples) == 0 and list(samples) == []
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 1), (1, 2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            DimensionSamples(np.ones(shape))
+
+    @pytest.mark.parametrize("width,height", [
+        (0.0, 5.0), (5.0, -1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (-0.0, 2.0), (2.0, -math.inf),
+    ])
+    def test_first_bad_row_raises_the_samples_message(self, width, height):
+        with pytest.raises(ValueError) as one:
+            DimensionSample(width, height)
+        with pytest.raises(ValueError) as many:
+            DimensionSamples([[1.0, 2.0], [width, height], [0.0, 0.0]])
+        assert str(many.value) == str(one.value)
+        assert str(one.value) == f"sample size must be positive and finite, got {width!r} x {height!r}"
+
+
+class TestDistancesMatchPairwiseFormulas:
+    """The (n, k) distance matrices are bit-identical to the (n, k, 2) formulas."""
+
+    @pytest.mark.parametrize("mode", ["iou", "euclidean"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        dims = np.concatenate([_benchmark_like_sizes(seed, 500), rng.uniform(1e-3, 1e3, (500, 2))])
+        for k in (1, 3, 9):
+            centroids = dims[rng.choice(len(dims), k, replace=False)] * rng.uniform(0.5, 2.0, (k, 2))
+            got = anchors._distances(dims, centroids, mode)
+            want = oracle_distances(dims, centroids, mode)
+            assert got.shape == want.shape == (len(dims), k)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["iou", "euclidean"])
+    def test_same_clustering_as_pairwise_formulas(self, mode, monkeypatch):
+        dims = _benchmark_like_sizes(21, 3000)
+        got = [kmeans_anchors(DimensionSamples(dims), k, max_iters=8, seed=seed, distance=mode)
+               for k in (1, 2, 5, 9) for seed in range(3)]
+        monkeypatch.setattr(anchors, "_distances", oracle_distances)
+        want = [kmeans_anchors(DimensionSamples(dims), k, max_iters=8, seed=seed, distance=mode)
+                for k in (1, 2, 5, 9) for seed in range(3)]
+        assert got == want
+
+
 class TestKmeansAnchors:
+    def test_list_and_array_backed_samples_cluster_alike(self):
+        dims = _benchmark_like_sizes(4, 400)
+        as_list = [DimensionSample(w, h) for w, h in dims.tolist()]
+        for mode in ("iou", "euclidean"):
+            assert kmeans_anchors(as_list, 4, seed=3, distance=mode) == kmeans_anchors(
+                DimensionSamples(dims), 4, seed=3, distance=mode
+            )
+
+    def test_result_holds_plain_python_numbers(self):
+        result = kmeans_anchors(DimensionSamples(_benchmark_like_sizes(5, 200)), 3, seed=0)
+        assert all(type(c.width) is float and type(c.height) is float for c in result.centroids)
+        assert all(type(a) is int for a in result.assignments)
+
+    @pytest.mark.parametrize("copies", [1000, 5000])
+    def test_distinct_count_sees_duplicates_placed_late(self, copies):
+        k = 5
+        dims = np.array([[10.0, 10.0]] * copies + [[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [40.0, 40.0]])
+        with pytest.raises(InsufficientSamplesError) as err:
+            kmeans_anchors(DimensionSamples(dims), k)
+        assert str(err.value) == f"{k} clusters requested but only {k - 1} distinct samples given"
+        enough = np.concatenate([dims, [[50.0, 50.0]]])
+        assert len(kmeans_anchors(DimensionSamples(enough), k).centroids) == k
+
     def test_k_equals_distinct_samples(self):
         samples = [
             DimensionSample(10.0, 20.0),

@@ -216,6 +216,23 @@ class TestAnchors:
         assert code == EXIT_SEMANTIC_ERROR
         assert f"--scales {scales}" in err
 
+    @pytest.mark.parametrize("text,k,distinct", [
+        ("", 2, 0),
+        ("# only a comment\n\n  # another\n", 2, 0),
+        ("10 10\n" * 1000 + "10 10\n20 20\n30 30\n40 40\n", 5, 4),
+    ], ids=["empty", "comments-only", "duplicates-first"])
+    def test_too_few_distinct_samples_message_alone_on_stderr(self, tmp_path, text, k, distinct):
+        boxes = tmp_path / "dims.txt"
+        boxes.write_text(text, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "detkit.cli", "anchors", "--boxes", str(boxes), "--k", str(k), "--scales", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_DATA_ERROR
+        assert result.stdout == ""
+        assert result.stderr == f"detkit: {k} clusters requested but only {distinct} distinct samples given\n"
+
     @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
     def test_non_finite_size_is_data_error(self, tmp_path, line):
         bad = tmp_path / "dims.txt"

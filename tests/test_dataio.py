@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_boxes_close
 from detkit import (
     Box,
     DetectionResultSet,
+    DimensionSamples,
     GroundTruthSet,
     ParseError,
     ScoredBox,
     ValidationError,
     ap_by_area,
+    dataio,
     dump_results,
     fixture_path,
     load_dataset,
@@ -28,6 +34,7 @@ from detkit import (
     results_document,
     write_results,
 )
+from oracles import oracle_load_dimension_samples
 
 
 def _minimal_doc(**overrides):
@@ -275,6 +282,119 @@ class TestDimensionSamples:
         path.write_text("10 0\n", encoding="utf-8")
         with pytest.raises(ParseError, match="positive"):
             load_dimension_samples(path)
+
+    def test_returns_an_array_backed_set(self, tmp_path):
+        path = tmp_path / "dims.txt"
+        path.write_text("10 13\n16 30\n", encoding="utf-8")
+        samples = load_dimension_samples(path)
+        assert isinstance(samples, DimensionSamples)
+        assert samples.sizes.tolist() == [[10.0, 13.0], [16.0, 30.0]]
+
+    @pytest.mark.parametrize("text", [
+        "# header\n10 13\n 16\t30 \n",
+        "\n".join(f"{w}.25 {w + 1}.5" for w in range(1, 500)) + "\n",
+    ])
+    def test_well_formed_files_never_walk_line_by_line(self, tmp_path, monkeypatch, text):
+        def walk(path, lines):
+            raise AssertionError("took the line walk")
+
+        path = tmp_path / "dims.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = oracle_load_dimension_samples(path)
+        monkeypatch.setattr(dataio, "_walk_dimension_lines", walk)
+        assert np.array_equal(load_dimension_samples(path).sizes, expected)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "  \n\t\n", "#a\n\n  # b\n"])
+    def test_no_samples_is_an_empty_set_without_warnings(self, tmp_path, text):
+        path = tmp_path / "dims.txt"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = load_dimension_samples(path)
+        assert len(samples) == 0 and samples.sizes.shape == (0, 2)
+
+
+_positive_tokens = st.one_of(
+    st.floats(min_value=0.01, max_value=1e4).map(lambda v: f"{v:.2f}"),
+    st.floats(min_value=5e-324, max_value=1e308).map(repr),
+    st.integers(1, 10**6).map(str),
+)
+_wild_tokens = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([
+        "1_0", "1__0", "_1", "\u0661\u0662", "\u0661.\u0665", "\uff11\uff12", "\u00b2", "0x10", "1,5",
+        "nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity", "infinity", "1e999", "-0", "0", "0.0",
+        "5e-324", "1e-310", "2.2250738585072014e-308", "1.", ".5", "+4", "1E5", "1d0",
+        "#", "#c", "1#", "2#c", "abc", "\x00",
+    ]),
+)
+_gaps = st.sampled_from([" ", "\t", "  ", "\xa0", "\u2003", "\x1f"])
+_edges = st.sampled_from(["", "", " ", "\t", "\xa0"])
+
+
+def _lines(tokens, gaps=_gaps):
+    return st.builds(lambda lead, parts, gap, tail: lead + gap.join(parts) + tail, _edges, tokens, gaps, _edges)
+
+
+_good_lines = _lines(st.lists(_positive_tokens, min_size=2, max_size=2))
+_any_tokens = st.one_of(_positive_tokens, _wild_tokens)
+_wild_lines = _lines(
+    st.one_of(st.lists(_any_tokens, min_size=2, max_size=2), st.lists(_any_tokens, max_size=4)),
+    _gaps | st.just(" \x0c "),
+)
+_comment_lines = st.sampled_from(["# header", "#", "  # c", "#1 2", "\t#\t3 4", "", " ", "1 2 # c", "1 2 #"])
+_line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])
+# Mostly well-formed files, which numpy's reader takes, with a wild line now and then.
+_size_files = st.lists(
+    st.tuples(st.one_of(_good_lines, _good_lines, _good_lines, _comment_lines, _wild_lines), _line_ends),
+    max_size=8,
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+def _load_outcome(load, path):
+    try:
+        return "ok", load(path)
+    except ParseError as err:
+        return "error", str(err)
+
+
+class TestDimensionSamplesMatchLineWalk:
+    """load_dimension_samples returns the per-line loader's array, or raises its exact ParseError."""
+
+    @given(_size_files)
+    @example("# header\n10 13\n")
+    @example("10 13 # c\n")
+    @example("")
+    @example(" \n\t\n\xa0\n")
+    @example("10 13\r\n16 30\r\n")
+    @example("10\x0c13\n")
+    @example("10\xa013\n")
+    @example("1_0 13\n")
+    @example("\u0661\u0662 13\n")
+    @example("10 13\nnan 1\n")
+    @example("inf 1\n")
+    @example("10 13\n0 1\n")
+    @example("-1 2\n")
+    @example("5e-324 1e-310\n")
+    @example("1 2 3\n")
+    @example("1\n")
+    @settings(max_examples=300, deadline=None)
+    def test_same_array_or_same_message(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sizes.txt"
+            path.write_bytes(text.encode("utf-8"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got_kind, got = _load_outcome(lambda p: load_dimension_samples(p).sizes, path)
+            want_kind, want = _load_outcome(oracle_load_dimension_samples, path)
+        assert got_kind == want_kind, (got, want)
+        if got_kind == "error":
+            assert got == want
+        else:
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape and got.shape[1:] == (2,)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpeedTable:
