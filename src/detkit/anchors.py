@@ -161,7 +161,7 @@ def _count_distinct(dims: np.ndarray, stop_at: int) -> int:
 
 
 def kmeans_anchors(
-    samples: DimensionSamples | Sequence[DimensionSample],
+    samples: Sequence[DimensionSample],
     k: int,
     max_iters: int = 100,
     seed: int = 0,
