@@ -14,6 +14,14 @@ from typing import Sequence
 import numpy as np
 
 
+def _is_whole(value: float) -> bool:
+    """True for a finite whole number, int or float; False for NaN and the infinities."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):  # int() of an infinity, of NaN
+        return False
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle in center form: finite fields and corners, positive finite area."""
@@ -70,7 +78,7 @@ class Box:
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """A class-labelled detection with a confidence score in [0, 1]."""
+    """A class-labelled detection: a score in [0, 1] and a non-negative whole class id."""
 
     box: Box
     score: float
@@ -81,6 +89,8 @@ class ScoredBox:
             raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id!r}")
+        if not _is_whole(self.class_id):
+            raise ValueError(f"class_id must be a whole number, got {self.class_id!r}")
 
 
 def iou(a: Box, b: Box) -> float:

@@ -14,12 +14,11 @@ class-pooled APs taken per image.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .geometry import Box, ScoredBox, _check_threshold, iou
+from .geometry import Box, ScoredBox, _check_threshold, _is_whole, iou
 
 SMALL_AREA_MAX = 32.0 * 32.0
 MEDIUM_AREA_MAX = 96.0 * 96.0
@@ -50,7 +49,7 @@ class ImageInfo:
     def __post_init__(self) -> None:
         for name in ("width", "height"):
             value = getattr(self, name)
-            if not (0 < value < math.inf and value == int(value)):
+            if not (value > 0 and _is_whole(value)):
                 raise ValueError(f"image {self.image_id}: {name} must be a positive whole number, got {value}")
             object.__setattr__(self, name, int(value))
 
@@ -87,7 +86,7 @@ class GroundTruthSet:
         declared = categories.items() if named else ((c, None) for c in categories)
         self._categories: dict[int, str] = {}
         for category_id, name in declared:
-            if not (0 <= category_id < math.inf and category_id == int(category_id)):
+            if not (category_id >= 0 and _is_whole(category_id)):
                 raise ValueError(f"category {category_id}: id must be a non-negative whole number")
             category_id = int(category_id)
             self._categories[category_id] = name if named else str(category_id)
@@ -298,8 +297,9 @@ class _Evaluation:
         for det in detections:
             if det.image_id not in ground_truths.images:
                 raise UnknownImageError(det.image_id)
-        self.ground_truths = ground_truths
-        self.counts = {c: ground_truths.class_count(c) for c in ground_truths.classes_with_truth()}
+        # every truth, image by image in input order
+        self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
+        self.counts = Counter(gt.class_id for gt in self.truths)
         self.order = _sweep_order(detections)
         self.by_class: dict[int, list[Detection]] = {}
         self.by_image: dict[int, list[Detection]] = {}
@@ -309,9 +309,8 @@ class _Evaluation:
             self.by_image.setdefault(det.image_id, []).append(det)
             by_group.setdefault((det.image_id, det.class_id), []).append(det)
         truths: dict[tuple[int, int], list[GroundTruth]] = {}
-        for image_id in ground_truths.image_ids:
-            for gt in ground_truths.for_image(image_id):
-                truths.setdefault((image_id, gt.class_id), []).append(gt)
+        for gt in self.truths:
+            truths.setdefault((gt.image_id, gt.class_id), []).append(gt)
         # (detections, truths, IOU rows) for each group holding both
         self.groups = [
             (dets, truths[key], [[iou(det.box, gt.box) for gt in truths[key]] for det in dets])
@@ -329,83 +328,59 @@ class _Evaluation:
         return matched
 
     def class_aps(self, iou_threshold: float, interpolation: str) -> dict[int, float]:
-        return _class_aps(self.by_class, self.matched[iou_threshold], self.counts, interpolation)
+        return _aps(self.by_class, self.matched[iou_threshold], self.counts, interpolation)
 
-    def coco(self) -> CocoAPResult:
-        return _coco_result(self.by_class, self.matched, self.counts)
+    def coco(self, band: str | None = None) -> CocoAPResult:
+        """The COCO family, over every truth or over one size band's scope.
 
-    def band_ap(self, band: str) -> float | None:
-        """ap_by_area, re-matching on the IOU rows restricted to the band's truths."""
-        counts = Counter(
-            gt.class_id
-            for image_id in self.ground_truths.image_ids
-            for gt in self.ground_truths.for_image(image_id)
-            if area_band(gt.box) == band
-        )
-        if not counts:
-            return None
-        owner = self.matched[0.5]
+        A band's scope is its truths, the detections that no other band owns at
+        IOU 0.5, and a re-match on the IOU rows restricted to the band's truths.
+        """
+        swept, matched, counts = self.by_class, self.matched, self.counts
+        if band is not None:
+            owner = self.matched[0.5]
 
-        def kept(det: Detection) -> bool:
-            truth = owner[det.index]
-            return truth is None or area_band(truth.box) == band
+            def kept(det: Detection) -> bool:
+                truth = owner[det.index]
+                return truth is None or area_band(truth.box) == band
 
-        groups = []
-        for dets, truths, rows in self.groups:
-            columns = [g for g, gt in enumerate(truths) if area_band(gt.box) == band]
-            if columns:
-                rest = [(det, row) for det, row in zip(dets, rows) if kept(det)]
-                groups.append((
-                    [det for det, _ in rest],
-                    [truths[g] for g in columns],
-                    [[row[g] for g in columns] for _, row in rest],
-                ))
-        matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
-        swept = {c: [d for d in self.by_class.get(c, ()) if kept(d)] for c in counts}
-        return _coco_result(swept, matched, counts).ap
+            groups = []
+            for dets, truths, rows in self.groups:
+                columns = [g for g, gt in enumerate(truths) if area_band(gt.box) == band]
+                if columns:
+                    rest = [(det, row) for det, row in zip(dets, rows) if kept(det)]
+                    groups.append((
+                        [det for det, _ in rest],
+                        [truths[g] for g in columns],
+                        [[row[g] for g in columns] for _, row in rest],
+                    ))
+            matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
+            counts = Counter(gt.class_id for gt in self.truths if area_band(gt.box) == band)
+            swept = {c: [d for d in self.by_class.get(c, ()) if kept(d)] for c in counts}
+        by_threshold = {
+            t: _mean(list(_aps(swept, matched[t], counts, "101-point").values())) for t in COCO_IOU_THRESHOLDS
+        }
+        ap = _mean(list(by_threshold.values())) if counts else None
+        return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
 
     def global_ap(self, iou_threshold: float) -> float | None:
-        total = self.ground_truths.total_count
-        if total == 0:
+        if not self.truths:
             return None
-        return average_precision(_curve(self.order, self.matched[iou_threshold], total), "continuous")
+        return average_precision(_curve(self.order, self.matched[iou_threshold], len(self.truths)), "continuous")
 
     def per_image_ap(self, iou_threshold: float) -> float | None:
-        values: list[float] = []
-        for image_id in sorted(self.ground_truths.image_ids):
-            num_gt = len(self.ground_truths.for_image(image_id))
-            if num_gt == 0:
-                continue
-            curve = _curve(self.by_image.get(image_id, ()), self.matched[iou_threshold], num_gt)
-            values.append(average_precision(curve, "continuous"))
-        return _mean(values)
+        counts = Counter(gt.image_id for gt in self.truths)
+        return _mean(list(_aps(self.by_image, self.matched[iou_threshold], counts, "continuous").values()))
 
 
-def _class_aps(
+def _aps(
     swept: Mapping[int, Sequence[Detection]],
     matched: Sequence[GroundTruth | None],
     counts: Mapping[int, int],
     interpolation: str,
 ) -> dict[int, float]:
-    """AP per class in ascending class order; counts holds each class's truth count."""
-    return {
-        c: average_precision(_curve(swept.get(c, ()), matched, counts[c]), interpolation)
-        for c in sorted(counts)
-    }
-
-
-def _coco_result(
-    swept: Mapping[int, Sequence[Detection]],
-    matched: Mapping[float, Sequence[GroundTruth | None]],
-    counts: Mapping[int, int],
-) -> CocoAPResult:
-    by_threshold = {
-        t: _mean(list(_class_aps(swept, matched[t], counts, "101-point").values()))
-        for t in COCO_IOU_THRESHOLDS
-    }
-    values = [by_threshold[t] for t in COCO_IOU_THRESHOLDS]
-    ap = None if any(v is None for v in values) else sum(values) / len(values)
-    return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
+    """AP per key of counts (truth counts), in ascending key order; swept[key] is in sweep order."""
+    return {k: average_precision(_curve(swept.get(k, ()), matched, counts[k]), interpolation) for k in sorted(counts)}
 
 
 def _curve(swept: Iterable[Detection], matched: Sequence[GroundTruth | None], num_gt: int) -> PRCurve:
@@ -492,9 +467,17 @@ def per_class_ap(
 
 
 def _mean(values: Sequence[float]) -> float | None:
+    """The arithmetic mean, or None for no values.
+
+    Added left to right, as sum() added floats before Python 3.12 compensated
+    it, so every mean is the same on every supported Python.
+    """
     if not values:
         return None
-    return sum(values) / len(values)
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def map_voc(detections: DetectionResultSet, ground_truths: GroundTruthSet) -> float | None:
@@ -502,8 +485,7 @@ def map_voc(detections: DetectionResultSet, ground_truths: GroundTruthSet) -> fl
 
     None when no class has any ground truth.
     """
-    aps = per_class_ap(detections, ground_truths, 0.5, "continuous")
-    return _mean([aps[c] for c in sorted(aps)])
+    return _mean(list(per_class_ap(detections, ground_truths, 0.5, "continuous").values()))
 
 
 @dataclass(frozen=True)
@@ -548,7 +530,7 @@ def ap_by_area(
     """
     if band not in AREA_BANDS:
         raise ValueError(f"band must be one of {AREA_BANDS}, got {band!r}")
-    return _Evaluation(detections, ground_truths, (0.5,)).band_ap(band)
+    return _Evaluation(detections, ground_truths, (0.5,)).coco(band).ap
 
 
 def global_ap(
@@ -613,13 +595,13 @@ def evaluate(
     per_class = evaluation.class_aps(0.5, "continuous")
     coco = evaluation.coco()
     return MetricReport(
-        voc50=_mean([per_class[c] for c in sorted(per_class)]),
+        voc50=_mean(list(per_class.values())),
         ap=coco.ap,
         ap50=coco.ap50,
         ap75=coco.ap75,
-        ap_small=evaluation.band_ap("small"),
-        ap_medium=evaluation.band_ap("medium"),
-        ap_large=evaluation.band_ap("large"),
+        ap_small=evaluation.coco("small").ap,
+        ap_medium=evaluation.coco("medium").ap,
+        ap_large=evaluation.coco("large").ap,
         per_class_ap=per_class,
         global_ap=evaluation.global_ap(iou_threshold),
         per_image_ap=evaluation.per_image_ap(iou_threshold),

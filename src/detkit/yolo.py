@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Box, iou
+from .geometry import Box, _is_whole, iou
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -72,7 +72,7 @@ class RawPrediction:
 
 @dataclass(frozen=True)
 class GridCell:
-    """A cell of the prediction grid; stride is the cell edge in image pixels."""
+    """A cell of the prediction grid: whole, non-negative indices; stride is the cell edge in image pixels."""
 
     col: int
     row: int
@@ -81,13 +81,17 @@ class GridCell:
     def __post_init__(self) -> None:
         if self.col < 0 or self.row < 0:
             raise ValueError(f"cell indices must be non-negative, got ({self.col}, {self.row})")
+        if not (_is_whole(self.col) and _is_whole(self.row)):
+            raise ValueError(f"cell indices must be whole numbers, got ({self.col}, {self.row})")
         if not (self.stride > 0.0):
             raise ValueError(f"stride must be positive, got {self.stride!r}")
+        if not (self.stride < math.inf):
+            raise ValueError(f"stride must be finite, got {self.stride!r}")
 
 
 @dataclass(frozen=True)
 class AnchorPrior:
-    """Prior box size in image pixels."""
+    """Prior box size in image pixels, positive and finite."""
 
     width: float
     height: float
@@ -95,6 +99,8 @@ class AnchorPrior:
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(f"prior size must be positive, got {self.width!r} x {self.height!r}")
+        if not (self.width < math.inf and self.height < math.inf):
+            raise ValueError(f"prior size must be finite, got {self.width!r} x {self.height!r}")
 
     @property
     def area(self) -> float:
@@ -308,9 +314,16 @@ def prior_loss(
     if len(class_targets) != len(pred.class_logits):
         raise ValueError("class_targets length must match class_logits")
     predicted = (pred.x, pred.y, pred.w, pred.h)
-    residual = coord_gradient(target_coords, predicted)
-    total += 0.5 * sum(r * r for r in residual)
-    total += sum(bce_loss(sigmoid(z), y) for z, y in zip(pred.class_logits, class_targets))
+    # Each term sum is added left to right, as sum() added floats before
+    # Python 3.12 compensated it, so the loss is the same on every Python.
+    squares = 0.0
+    for r in coord_gradient(target_coords, predicted):
+        squares += r * r
+    class_terms = 0.0
+    for z, y in zip(pred.class_logits, class_targets):
+        class_terms += bce_loss(sigmoid(z), y)
+    total += 0.5 * squares
+    total += class_terms
     return total
 
 

@@ -85,8 +85,17 @@ class TestScoredBox:
             ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=score, class_id=0)
 
     def test_rejects_negative_class(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^class_id must be non-negative, got -1$"):
             ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=0.5, class_id=-1)
+
+    @pytest.mark.parametrize("class_id", [1.5, math.inf, math.nan])
+    def test_rejects_class_that_is_not_whole(self, class_id):
+        # A class 1.5 detection would match no truth and be scored silently.
+        with pytest.raises(ValueError, match=r"^class_id must be a whole number, got "):
+            ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=0.5, class_id=class_id)
+
+    def test_whole_valued_float_class_accepted(self):
+        assert ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=0.5, class_id=2.0).class_id == 2
 
 
 class TestIou:

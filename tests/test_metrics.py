@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -34,6 +34,7 @@ from detkit import (
     per_image_ap,
     pr_curve,
 )
+from detkit import metrics
 from detkit.metrics import _envelope
 
 
@@ -483,21 +484,31 @@ class TestPerImageAp:
         assert per_image_ap(_dets([]), truths) is None
 
 
+def _assert_report_agrees_with_parts(dets, truths):
+    report = evaluate(dets, truths)
+    coco = coco_ap(dets, truths)
+    assert report.voc50 == map_voc(dets, truths)
+    assert report.ap == coco.ap
+    assert report.ap50 == coco.ap50
+    assert report.ap75 == coco.ap75
+    assert report.ap_small == ap_by_area(dets, truths, "small")
+    assert report.ap_medium == ap_by_area(dets, truths, "medium")
+    assert report.ap_large == ap_by_area(dets, truths, "large")
+    assert report.global_ap == global_ap(dets, truths)
+    assert report.per_image_ap == per_image_ap(dets, truths)
+    assert report.per_class_ap == per_class_ap(dets, truths)
+
+
 class TestEvaluate:
     def test_report_agrees_with_parts(self):
-        dets, truths = _simple_pair()
-        report = evaluate(dets, truths)
-        coco = coco_ap(dets, truths)
-        assert report.voc50 == map_voc(dets, truths)
-        assert report.ap == coco.ap
-        assert report.ap50 == coco.ap50
-        assert report.ap75 == coco.ap75
-        assert report.ap_small == ap_by_area(dets, truths, "small")
-        assert report.ap_medium == ap_by_area(dets, truths, "medium")
-        assert report.ap_large == ap_by_area(dets, truths, "large")
-        assert report.global_ap == global_ap(dets, truths)
-        assert report.per_image_ap == per_image_ap(dets, truths)
-        assert report.per_class_ap == per_class_ap(dets, truths)
+        _assert_report_agrees_with_parts(*_simple_pair())
+
+    @given(band_scenarios())
+    @settings(max_examples=80, deadline=None)
+    # one small truth: the medium and large bands hold no truth and read None
+    @example(oracles.Scenario((1, 2), (1, 2), ((1, 1, (0, 0, 30, 30)),), ((1, 1, 0.5, (0, 0, 30, 30)),)))
+    def test_report_agrees_with_parts_on_band_scenarios(self, scenario):
+        _assert_report_agrees_with_parts(*oracles.to_library(scenario))
 
     def test_sharding_changes_nothing(self):
         _, dets_a, dets_b = pathology_fixture()
@@ -511,6 +522,23 @@ class TestEvaluate:
         dets, truths = _simple_pair()
         with pytest.raises(ValueError):
             evaluate(dets, truths, shards=0)
+
+
+class TestSameOnEveryPython:
+    """Python 3.12 made sum() of floats compensated; no report may depend on the interpreter's sum()."""
+
+    def test_the_stand_in_compensates(self):
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        assert total != 1.0
+        assert oracles.compensated_sum([0.1] * 10) == 1.0
+
+    def test_reports_are_the_same_under_a_compensated_sum(self, monkeypatch):
+        inputs = [oracles.to_library(oracles.random_scenario(seed)) for seed in range(100)]
+        want = [repr(evaluate(dets, truths)) for dets, truths in inputs]
+        monkeypatch.setattr(metrics, "sum", oracles.compensated_sum, raising=False)
+        assert [repr(evaluate(dets, truths)) for dets, truths in inputs] == want
 
 
 class TestPathology:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from detkit import (
     IGNORED,
     NEGATIVE,
@@ -35,6 +37,7 @@ from detkit import (
     sigmoid,
     tensor_index,
     tensor_unindex,
+    yolo,
 )
 
 LN2 = math.log(2.0)
@@ -389,6 +392,57 @@ class TestPriorLoss:
                 target_coords=(0.0, 0.0, 0.0, 0.0),
                 class_targets=(1,),
             )
+
+    def test_loss_is_the_same_under_a_compensated_sum(self, monkeypatch):
+        # Python 3.12 made sum() of floats compensated; the loss must not depend on it.
+        rng = random.Random(0)
+        cases = [
+            (
+                RawPrediction(*(rng.gauss(0.0, 1.0) for _ in range(4)), objectness=rng.gauss(0.0, 2.0),
+                              class_logits=tuple(rng.gauss(0.0, 3.0) for _ in range(80))),
+                tuple(rng.gauss(0.0, 1.0) for _ in range(4)),
+                tuple(rng.randint(0, 1) for _ in range(80)),
+            )
+            for _ in range(20)
+        ]
+        want = [prior_loss(pred, AssignmentLabel.positive(0), coords, classes) for pred, coords, classes in cases]
+        monkeypatch.setattr(yolo, "sum", oracles.compensated_sum, raising=False)
+        got = [prior_loss(pred, AssignmentLabel.positive(0), coords, classes) for pred, coords, classes in cases]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class TestValueRules:
+    @pytest.mark.parametrize("col, row", [(1.5, 0), (0, 2.5), (math.inf, 0), (0, math.nan)])
+    def test_cell_indices_must_be_whole(self, col, row):
+        with pytest.raises(ValueError, match=r"^cell indices must be whole numbers, got \("):
+            GridCell(col, row)
+
+    def test_negative_cell_index_message_unchanged(self):
+        with pytest.raises(ValueError, match=r"^cell indices must be non-negative, got \(-1, 0\)$"):
+            GridCell(-1, 0)
+
+    def test_whole_valued_float_indices_accepted(self):
+        assert GridCell(2.0, 3.0, 8.0) == GridCell(2, 3, 8.0)
+
+    def test_stride_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^stride must be finite, got inf$"):
+            GridCell(0, 0, math.inf)
+        with pytest.raises(ValueError, match=r"^stride must be positive, got 0\.0$"):
+            GridCell(0, 0, 0.0)
+
+    def test_infinite_stride_no_longer_encodes(self):
+        with pytest.raises(ValueError):
+            encode(Box(10, 10, 5, 5), GridCell(0, 0, math.inf), AnchorPrior(4, 4))
+
+    @pytest.mark.parametrize("width, height", [(math.inf, 4.0), (4.0, math.inf)])
+    def test_prior_size_must_be_finite(self, width, height):
+        with pytest.raises(ValueError, match=r"^prior size must be finite, got "):
+            AnchorPrior(width, height)
+
+    @pytest.mark.parametrize("width, height", [(0.0, 4.0), (4.0, -1.0), (math.nan, 4.0)])
+    def test_prior_size_positive_message_unchanged(self, width, height):
+        with pytest.raises(ValueError, match=rf"^prior size must be positive, got {width!r} x {height!r}$"):
+            AnchorPrior(width, height)
 
 
 class TestTensorLayout:
