@@ -78,7 +78,7 @@ class Box:
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """A class-labelled detection: a score in [0, 1] and a non-negative whole class id."""
+    """A class-labelled detection: a score in [0, 1] and a non-negative whole class id, stored as int."""
 
     box: Box
     score: float
@@ -91,6 +91,8 @@ class ScoredBox:
             raise ValueError(f"class_id must be non-negative, got {self.class_id!r}")
         if not _is_whole(self.class_id):
             raise ValueError(f"class_id must be a whole number, got {self.class_id!r}")
+        if type(self.class_id) is not int:  # 2.0 becomes 2, as a results file must hold it
+            object.__setattr__(self, "class_id", int(self.class_id))
 
 
 def iou(a: Box, b: Box) -> float:

@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .geometry import Box, ScoredBox, _check_threshold, _is_whole, iou
 
 SMALL_AREA_MAX = 32.0 * 32.0
@@ -27,7 +29,7 @@ AREA_BANDS = ("small", "medium", "large")
 # The standard threshold sweep 0.50, 0.55, ..., 0.95.
 COCO_IOU_THRESHOLDS = tuple(t / 100.0 for t in range(50, 100, 5))
 
-_RECALL_SAMPLES = tuple(i / 100.0 for i in range(101))
+_RECALL_SAMPLES = np.arange(101) / 100.0
 
 INTERPOLATION_MODES = ("continuous", "101-point")
 
@@ -281,9 +283,11 @@ class _Evaluation:
 
     Image ids are checked once.  Detections are grouped once by (image,
     class) in sweep order, truths once by (image, class) in input order, and
-    the IOU of every same-group (detection, truth) pair is computed once.
-    matched[t][i] is the truth that the detection with input index i took at
-    threshold t, or None.
+    the IOU of every same-group (detection, truth) pair is computed once.  A
+    detection whose IOUs all fall below the lowest threshold can match at no
+    threshold, so its row is dropped before matching; it still ranks as a
+    false positive.  matched[t] maps the input index of each detection that
+    took a truth at threshold t to that truth.
     """
 
     def __init__(
@@ -311,24 +315,59 @@ class _Evaluation:
         truths: dict[tuple[int, int], list[GroundTruth]] = {}
         for gt in self.truths:
             truths.setdefault((gt.image_id, gt.class_id), []).append(gt)
-        # (detections, truths, IOU rows) for each group holding both
-        self.groups = [
-            (dets, truths[key], [[iou(det.box, gt.box) for gt in truths[key]] for det in dets])
-            for key, dets in by_group.items()
-            if key in truths
-        ]
+        lowest = min(thresholds)
+        # (detections, truths, IOU rows) for each group holding both, over the rows that can match
+        self.groups = []
+        for key, dets in by_group.items():
+            if key in truths:
+                rows = [(det, [iou(det.box, gt.box) for gt in truths[key]]) for det in dets]
+                rows = [(det, row) for det, row in rows if max(row) >= lowest]
+                self.groups.append(([det for det, _ in rows], truths[key], [row for _, row in rows]))
         self.matched = {t: self._match(self.groups, t) for t in thresholds}
 
-    def _match(self, groups, iou_threshold: float) -> list[GroundTruth | None]:
-        matched: list[GroundTruth | None] = [None] * len(self.order)
+    def _match(self, groups, iou_threshold: float) -> dict[int, GroundTruth]:
+        matched: dict[int, GroundTruth] = {}
         for dets, truths, rows in groups:
             for det, g in zip(dets, _greedy(rows, iou_threshold)):
                 if g is not None:
                     matched[det.index] = truths[g]
         return matched
 
+    def _sweeps(
+        self,
+        swept: Mapping[int, Sequence[Detection]],
+        matches: Sequence[Mapping[int, GroundTruth]],
+        counts: Mapping[int, int],
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per match map, the PR sweeps of the keys of counts (truth counts) in ascending key order.
+
+        Each is (recall, precision, lengths): the sweeps laid end to end, key
+        k's the next lengths[k] points.  swept[key] is in sweep order.
+        """
+        keys = sorted(counts)
+        lengths = np.array([len(swept.get(k, ())) for k in keys], dtype=np.intp)
+        index = np.fromiter((det.index for k in keys for det in swept.get(k, ())), np.intp, lengths.sum())
+        row = np.repeat(np.arange(len(keys)), lengths)
+        before = (np.cumsum(lengths) - lengths)[row]  # sweep positions ahead of each key's first
+        num_gt = np.array([counts[k] for k in keys], dtype=np.intp)[row]
+        ranked = np.arange(len(index)) - before + 1  # tp + fp
+        out = []
+        for matched in matches:
+            taken = np.zeros(len(self.order), dtype=bool)
+            taken[np.fromiter(matched, np.intp, len(matched))] = True
+            hits = np.cumsum(taken[index])
+            tp = hits - np.concatenate(([0], hits))[before]
+            out.append((tp / num_gt, tp / ranked, lengths))
+        return out
+
+    def _aps(self, swept, matches, counts: Mapping[int, int], interpolation: str) -> list[dict[int, float]]:
+        """Per match map, the AP of each key of counts in ascending key order (arguments as for _sweeps)."""
+        keys = sorted(counts)
+        sweeps = self._sweeps(swept, matches, counts)
+        return [dict(zip(keys, _ap_rows(*sweep, interpolation).tolist())) for sweep in sweeps]
+
     def class_aps(self, iou_threshold: float, interpolation: str) -> dict[int, float]:
-        return _aps(self.by_class, self.matched[iou_threshold], self.counts, interpolation)
+        return self._aps(self.by_class, [self.matched[iou_threshold]], self.counts, interpolation)[0]
 
     def coco(self, band: str | None = None) -> CocoAPResult:
         """The COCO family, over every truth or over one size band's scope.
@@ -341,7 +380,7 @@ class _Evaluation:
             owner = self.matched[0.5]
 
             def kept(det: Detection) -> bool:
-                truth = owner[det.index]
+                truth = owner.get(det.index)
                 return truth is None or area_band(truth.box) == band
 
             groups = []
@@ -357,44 +396,19 @@ class _Evaluation:
             matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
             counts = Counter(gt.class_id for gt in self.truths if area_band(gt.box) == band)
             swept = {c: [d for d in self.by_class.get(c, ()) if kept(d)] for c in counts}
-        by_threshold = {
-            t: _mean(list(_aps(swept, matched[t], counts, "101-point").values())) for t in COCO_IOU_THRESHOLDS
-        }
+        per_class = self._aps(swept, [matched[t] for t in COCO_IOU_THRESHOLDS], counts, "101-point")
+        by_threshold = {t: _mean(list(aps.values())) for t, aps in zip(COCO_IOU_THRESHOLDS, per_class)}
         ap = _mean(list(by_threshold.values())) if counts else None
         return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
 
     def global_ap(self, iou_threshold: float) -> float | None:
         if not self.truths:
             return None
-        return average_precision(_curve(self.order, self.matched[iou_threshold], len(self.truths)), "continuous")
+        return self._aps({0: self.order}, [self.matched[iou_threshold]], {0: len(self.truths)}, "continuous")[0][0]
 
     def per_image_ap(self, iou_threshold: float) -> float | None:
         counts = Counter(gt.image_id for gt in self.truths)
-        return _mean(list(_aps(self.by_image, self.matched[iou_threshold], counts, "continuous").values()))
-
-
-def _aps(
-    swept: Mapping[int, Sequence[Detection]],
-    matched: Sequence[GroundTruth | None],
-    counts: Mapping[int, int],
-    interpolation: str,
-) -> dict[int, float]:
-    """AP per key of counts (truth counts), in ascending key order; swept[key] is in sweep order."""
-    return {k: average_precision(_curve(swept.get(k, ()), matched, counts[k]), interpolation) for k in sorted(counts)}
-
-
-def _curve(swept: Iterable[Detection], matched: Sequence[GroundTruth | None], num_gt: int) -> PRCurve:
-    """The PR sweep over detections in sweep order; matched[det.index] is None for a false positive."""
-    points: list[tuple[float, float]] = []
-    tp = 0
-    fp = 0
-    for det in swept:
-        if matched[det.index] is not None:
-            tp += 1
-        else:
-            fp += 1
-        points.append((tp / num_gt, tp / (tp + fp)))
-    return PRCurve(tuple(points), num_gt)
+        return _mean(list(self._aps(self.by_image, [self.matched[iou_threshold]], counts, "continuous")[0].values()))
 
 
 def pr_curve(
@@ -413,18 +427,44 @@ def pr_curve(
     num_gt = ground_truths.class_count(class_id)
     if num_gt == 0:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
-    return _curve(evaluation.by_class.get(class_id, ()), evaluation.matched[iou_threshold], num_gt)
+    sweeps = evaluation._sweeps(evaluation.by_class, [evaluation.matched[iou_threshold]], {class_id: num_gt})
+    recall, precision, _ = sweeps[0]
+    return PRCurve(tuple(zip(recall.tolist(), precision.tolist())), num_gt)
 
 
-def _envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Per point, the maximum precision at any recall >= that point's recall."""
-    env: list[tuple[float, float]] = []
-    best = 0.0
-    for recall, precision in reversed(points):
-        best = max(best, precision)
-        env.append((recall, best))
-    env.reverse()
-    return env
+def _ap_rows(recall: np.ndarray, precision: np.ndarray, lengths: Sequence[int], interpolation: str) -> np.ndarray:
+    """The AP of each PR sweep, for sweeps laid end to end: sweep k is the next lengths[k] points.
+
+    Recall never falls within a sweep.  Each sum adds left to right in sweep
+    or sample order, as the sweeps would one at a time.
+    """
+    if interpolation not in INTERPOLATION_MODES:
+        raise ValueError(f"interpolation must be one of {INTERPOLATION_MODES}, got {interpolation!r}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    # per point, the highest precision there or later in its sweep: a running maximum from the end over
+    # (-sweep, precision) pairs, held exactly as complex numbers, which numpy orders by real part first
+    envelope = np.maximum.accumulate((-row + 1j * precision)[::-1])[::-1].imag
+    if interpolation == "continuous":
+        # per point, the recall gained over the point before it in its sweep (over 0 at the first)
+        before = (ends - lengths)[row]
+        rise = recall - np.where(np.arange(len(row)) == before, 0.0, np.roll(recall, 1))
+        up = rise > 0.0
+        # only points that gain recall add area; sweep k's n-th such point adds it in column n of row k
+        rises = np.cumsum(up)
+        column = rises - np.concatenate(([0], rises))[before] - 1
+        area = np.zeros((len(lengths), column.max(initial=-1) + 2))
+        area[row[up], column[up]] = rise[up] * envelope[up]
+        return np.cumsum(area, axis=1)[:, -1]
+    # per point, how many samples its recall reaches; per sweep and sample, how many of its points fall short
+    reached = np.searchsorted(_RECALL_SAMPLES, recall, side="right")
+    bins = len(_RECALL_SAMPLES) + 1
+    short = np.bincount(row * bins + reached, minlength=len(lengths) * bins).reshape(-1, bins).cumsum(axis=1)[:, :-1]
+    # the first point to reach a sample comes next; past the sweep's last point it reads 0
+    first = np.where(short < lengths[:, None], (ends - lengths)[:, None] + short, len(row))
+    values = np.append(envelope, 0.0)[first]
+    return np.cumsum(values, axis=1)[:, -1] / len(_RECALL_SAMPLES)
 
 
 def average_precision(curve: PRCurve, interpolation: str = "continuous") -> float:
@@ -434,26 +474,8 @@ def average_precision(curve: PRCurve, interpolation: str = "continuous") -> floa
     averages the envelope at the 101 recall samples 0.00, 0.01, ..., 1.00,
     taking 0 beyond the highest achieved recall.  An empty curve scores 0.
     """
-    if interpolation not in INTERPOLATION_MODES:
-        raise ValueError(f"interpolation must be one of {INTERPOLATION_MODES}, got {interpolation!r}")
-    env = _envelope(curve.points)
-    if interpolation == "continuous":
-        total = 0.0
-        prev_recall = 0.0
-        for recall, precision in env:
-            if recall > prev_recall:
-                total += (recall - prev_recall) * precision
-                prev_recall = recall
-        return total
-    recalls = [r for r, _ in env]
-    total = 0.0
-    position = 0
-    for sample in _RECALL_SAMPLES:
-        while position < len(recalls) and recalls[position] < sample:
-            position += 1
-        if position < len(env):
-            total += env[position][1]
-    return total / len(_RECALL_SAMPLES)
+    points = np.array(curve.points, dtype=float).reshape(-1, 2)
+    return float(_ap_rows(points[:, 0], points[:, 1], [len(points)], interpolation)[0])
 
 
 def per_class_ap(

@@ -8,6 +8,8 @@ rounded implementation, which lets the comparisons demand 1e-12 agreement.
 oracle_nms is the exception: the scalar greedy suppression loop over the
 library's ScoredBox objects, with corner_iou, so that nms can be required to
 return the very same objects in the same order.  Likewise
+oracle_average_precision is the per-curve float AP loop, so that the array
+AP can be required to give the same floats bit for bit, and
 oracle_load_dimension_samples is the per-line box-size loader and
 oracle_distances the (n, k, 2) k-means distance formulas, so that the array
 versions can be required to give the same arrays and messages bit for bit.
@@ -34,6 +36,7 @@ from detkit import (
     GroundTruthSet,
     ImageInfo,
     ParseError,
+    PRCurve,
     ScoredBox,
 )
 from detkit.dataio import _read_text
@@ -146,6 +149,40 @@ def oracle_nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[Sc
         ):
             kept.append(candidate)
     return kept
+
+
+def oracle_envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Per point, the maximum precision at any recall >= that point's recall."""
+    env: list[tuple[float, float]] = []
+    best = 0.0
+    for recall, precision in reversed(points):
+        best = max(best, precision)
+        env.append((recall, best))
+    env.reverse()
+    return env
+
+
+def oracle_average_precision(curve: PRCurve, interpolation: str = "continuous") -> float:
+    """Float AP of one curve, point by point: the exact area under the envelope,
+    or its mean at recall samples 0.00, 0.01, ..., 1.00 (0 past the last point)."""
+    env = oracle_envelope(curve.points)
+    if interpolation == "continuous":
+        total = 0.0
+        prev_recall = 0.0
+        for recall, precision in env:
+            if recall > prev_recall:
+                total += (recall - prev_recall) * precision
+                prev_recall = recall
+        return total
+    samples = [i / 100.0 for i in range(101)]
+    total = 0.0
+    position = 0
+    for sample in samples:
+        while position < len(env) and env[position][0] < sample:
+            position += 1
+        if position < len(env):
+            total += env[position][1]
+    return total / len(samples)
 
 
 def oracle_load_dimension_samples(path: str | Path) -> np.ndarray:

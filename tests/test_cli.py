@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import run_cli
 from detkit import fixture_path
 from detkit.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_SEMANTIC_ERROR, EXIT_USAGE_ERROR
@@ -148,6 +149,33 @@ class TestEval:
         assert code == EXIT_DATA_ERROR and out == ""
         assert "dets.json: an integer literal is too long" in err
         assert "set_int_max_str_digits" not in err
+
+    def test_iou_zero_matches_the_exact_oracle(self, tmp_path):
+        # at --iou 0 a detection with zero IOU still takes a free truth of its class
+        for seed in range(15):
+            scenario = oracles.random_scenario(seed, 3, 3, 8, 14)
+            gt, dets = tmp_path / f"gt{seed}.json", tmp_path / f"dets{seed}.json"
+            gt.write_text(json.dumps({
+                "images": [{"id": i, "width": 200, "height": 200} for i in scenario.images],
+                "categories": [{"id": c, "name": f"class{c}"} for c in scenario.classes],
+                "annotations": [
+                    {"id": n + 1, "image_id": img, "category_id": cls, "bbox": [l, t, r - l, b - t]}
+                    for n, (img, cls, (l, t, r, b)) in enumerate(scenario.gts)
+                ],
+            }), encoding="utf-8")
+            dets.write_text(json.dumps([
+                {"image_id": img, "category_id": cls, "bbox": [l, t, r - l, b - t], "score": score}
+                for img, cls, score, (l, t, r, b) in scenario.dets
+            ]), encoding="utf-8")
+            code, out, _ = run_cli(["eval", "--gt", str(gt), "--dets", str(dets), "--iou", "0", "--format", "json"])
+            assert code == EXIT_OK
+            report = json.loads(out)
+            for name, want in (
+                ("global_ap", oracles.oracle_global_ap(scenario, 0.0)),
+                ("per_image_ap", oracles.oracle_per_image_ap(scenario, 0.0)),
+            ):
+                got = report[name]
+                assert (got is None) if want is None else abs(got - float(want)) <= 1e-12, (seed, name)
 
     def test_bad_iou_is_semantic_error(self):
         code, _, err = run_cli(["eval", "--gt", GT, "--dets", DETS_B, "--iou", "1.5"])

@@ -244,6 +244,16 @@ class TestResultsRoundTrip:
             assert got.score == want.score
             assert_boxes_close(got.box, want.box, rel=8 * 2.3e-16)
 
+    @pytest.mark.parametrize("class_id", [2.0, np.int64(2), np.float64(2.0)], ids=["float", "np.int64", "np.float64"])
+    def test_whole_valued_class_id_written_as_int_loads_back(self, tmp_path, class_id):
+        truths = pathology_fixture()[0]
+        box = truths.for_image(1)[0].box
+        path = tmp_path / "results.json"
+        write_results(DetectionResultSet([(1, ScoredBox(box, 0.5, class_id))]), path)
+        assert '"category_id": 2,' in path.read_text(encoding="utf-8")
+        (again,) = load_results(path, truths)
+        assert type(again.class_id) is int and again.class_id == 2
+
     def test_dump_keeps_full_precision(self):
         score = 0.8095238095238095
         dets = DetectionResultSet(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,13 @@ class TestScoredBox:
 
     def test_whole_valued_float_class_accepted(self):
         assert ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=0.5, class_id=2.0).class_id == 2
+
+    @pytest.mark.parametrize(
+        "class_id", [2, 2.0, True, np.int64(2), np.float64(2.0)], ids=["int", "float", "bool", "np.int64", "np.float64"]
+    )
+    def test_class_id_stored_as_int(self, class_id):
+        stored = ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=0.5, class_id=class_id).class_id
+        assert type(stored) is int and stored == class_id
 
 
 class TestIou:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,14 @@ import oracles
 from detkit import (
     AREA_BANDS,
     COCO_IOU_THRESHOLDS,
+    INTERPOLATION_MODES,
     Box,
     DetectionResultSet,
     GroundTruth,
     GroundTruthSet,
     ImageInfo,
     NoGroundTruthError,
+    PRCurve,
     ScoredBox,
     UnknownImageError,
     ap_by_area,
@@ -35,7 +38,6 @@ from detkit import (
     pr_curve,
 )
 from detkit import metrics
-from detkit.metrics import _envelope
 
 
 def _truths(entries, categories=None, size=100):
@@ -165,14 +167,14 @@ class TestPRCurve:
 class TestEnvelope:
     def test_running_max_from_the_right(self):
         pts = [(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)]
-        assert _envelope(pts) == [(0.5, 1.0), (0.5, 2 / 3), (1.0, 2 / 3)]
+        assert oracles.oracle_envelope(pts) == [(0.5, 1.0), (0.5, 2 / 3), (1.0, 2 / 3)]
 
     def test_non_increasing(self):
         for seed in range(20):
             scenario = oracles.random_scenario(seed)
             dets, truths = oracles.to_library(scenario)
             for cls in oracles.oracle_classes_with_truth(scenario):
-                env = _envelope(pr_curve(dets, truths, 0.5, cls).points)
+                env = oracles.oracle_envelope(pr_curve(dets, truths, 0.5, cls).points)
                 values = [p for _, p in env]
                 assert values == sorted(values, reverse=True)
 
@@ -223,6 +225,121 @@ class TestAveragePrecision:
                 cont = average_precision(curve, "continuous")
                 grid = average_precision(curve, "101-point")
                 assert abs(cont - grid) <= 1 / 101 + 1e-12
+
+
+def _sweep_curve(hits, num_gt) -> PRCurve:
+    """The PR curve of a sweep given as hit flags, point by point."""
+    points = []
+    tp = fp = 0
+    for hit in hits:
+        if hit:
+            tp += 1
+        else:
+            fp += 1
+        points.append((tp / num_gt, tp / (tp + fp)))
+    return PRCurve(tuple(points), num_gt)
+
+
+@st.composite
+def sweeps(draw) -> tuple[list[bool], int]:
+    """Hit flags and a truth count no smaller than the hits; 20, 25, 50 and 100 put recalls on the samples."""
+    hits = draw(st.lists(st.booleans(), max_size=60))
+    tp = sum(hits)
+    num_gt = draw(st.one_of(st.sampled_from([20, 25, 50, 100]), st.integers(1, 40)).filter(lambda n: n >= tp))
+    return hits, num_gt
+
+
+@st.composite
+def tied_scenarios(draw) -> oracles.Scenario:
+    """Random scenarios whose scores come from four values, so that many tie."""
+    scenario = oracles.random_scenario(draw(st.integers(0, 10**6)), 3, 3, 12, 25)
+    n = len(scenario.dets)
+    scores = draw(st.lists(st.sampled_from((0.25, 0.5, 0.75, 1.0)), min_size=n, max_size=n))
+    dets = tuple((img, cls, score, corners) for (img, cls, _, corners), score in zip(scenario.dets, scores))
+    return oracles.Scenario(scenario.images, scenario.classes, scenario.gts, dets)
+
+
+def _left_to_right_mean(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+# an empty sweep, all false positives, more truths than hits, recalls on the samples k/20, k/25, k/50 and
+# k/100, and thirds, whose 101 samples add up differently in pairs than left to right
+PINNED_SWEEPS = [
+    ([], 3),
+    ([False] * 5, 2),
+    ([True, False, True, False, False], 10),
+    ([True, False, False, False, True, True, False, True], 20),
+    ([True, True, False, True, False, False, True] * 3, 25),
+    ([True, False] * 30, 50),
+    ([True, False, False] * 20, 100),
+    ([True, False, True, False, False, True] * 5, 11),
+]
+
+
+class TestArrayApMatchesScalarOracle:
+    """The array AP gives the scalar loop's floats bit for bit, one curve or many keys at a time."""
+
+    @staticmethod
+    def _assert_same(curve):
+        for mode in INTERPOLATION_MODES:
+            assert average_precision(curve, mode).hex() == oracles.oracle_average_precision(curve, mode).hex(), mode
+
+    @pytest.mark.parametrize("hits,num_gt", PINNED_SWEEPS)
+    def test_pinned_sweeps(self, hits, num_gt):
+        self._assert_same(_sweep_curve(hits, num_gt))
+
+    @given(sweeps())
+    @settings(max_examples=300, deadline=None)
+    def test_public_average_precision(self, sweep):
+        self._assert_same(_sweep_curve(*sweep))
+
+    @given(st.lists(sweeps(), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @example(PINNED_SWEEPS)
+    def test_many_sweeps_at_once(self, many):
+        curves = [_sweep_curve(hits, num_gt) for hits, num_gt in many]
+        points = np.array([p for curve in curves for p in curve.points], dtype=float).reshape(-1, 2)
+        for mode in INTERPOLATION_MODES:
+            got = metrics._ap_rows(points[:, 0], points[:, 1], [len(c.points) for c in curves], mode).tolist()
+            assert [v.hex() for v in got] == [oracles.oracle_average_precision(c, mode).hex() for c in curves]
+
+    @given(tied_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_every_view_on_tied_scores(self, scenario):
+        dets, truths = oracles.to_library(scenario)
+        classes = oracles.oracle_classes_with_truth(scenario)
+        order = sorted(range(len(scenario.dets)), key=lambda j: (-scenario.dets[j][2], j))
+
+        def curve(flags, keep, num_gt):
+            return _sweep_curve([flags[j] for j in order if keep(scenario.dets[j])], num_gt)
+
+        def class_ap(flags, cls, mode):
+            num_gt = sum(1 for g in scenario.gts if g[1] == cls)
+            return oracles.oracle_average_precision(curve(flags, lambda d: d[1] == cls, num_gt), mode)
+
+        for threshold in (0.5, 0.75):
+            flags = oracles.oracle_tp_flags(scenario, threshold)
+            for mode in INTERPOLATION_MODES:
+                got = per_class_ap(dets, truths, threshold, mode)
+                assert {c: v.hex() for c, v in got.items()} == {c: class_ap(flags, c, mode).hex() for c in classes}
+        by_threshold = coco_ap(dets, truths).by_threshold
+        for threshold in COCO_IOU_THRESHOLDS:
+            flags = oracles.oracle_tp_flags(scenario, threshold)
+            want = _left_to_right_mean([class_ap(flags, c, "101-point") for c in classes]) if classes else None
+            assert by_threshold[threshold] == want
+        flags = oracles.oracle_tp_flags(scenario, 0.5)
+        pooled = curve(flags, lambda d: True, len(scenario.gts)) if scenario.gts else None
+        assert global_ap(dets, truths) == (oracles.oracle_average_precision(pooled) if pooled else None)
+        per_image = [
+            oracles.oracle_average_precision(curve(flags, lambda d: d[0] == img, n))
+            for img in sorted(scenario.images)
+            if (n := sum(1 for g in scenario.gts if g[0] == img))
+        ]
+        assert per_image_ap(dets, truths) == (_left_to_right_mean(per_image) if per_image else None)
 
 
 @st.composite
@@ -287,6 +404,20 @@ class TestAgainstExactOracle:
             for cls in oracles.oracle_classes_with_truth(scenario):
                 want = oracles.oracle_class_ap(scenario, cls, 0.5, "101-point")
                 assert abs(aps[cls] - float(want)) <= 1e-12, (seed, cls)
+
+    def test_threshold_zero_matches_zero_overlap(self):
+        # IOU 0 reaches threshold 0, so a detection off every truth of its class still takes a free one
+        for seed in range(40):
+            scenario = oracles.random_scenario(seed, 3, 3, 8, 14)
+            dets, truths = oracles.to_library(scenario)
+            aps = per_class_ap(dets, truths, 0.0)
+            for cls in oracles.oracle_classes_with_truth(scenario):
+                assert abs(aps[cls] - float(oracles.oracle_class_ap(scenario, cls, 0.0))) <= 1e-12, (seed, cls)
+            for got, want in (
+                (global_ap(dets, truths, 0.0), oracles.oracle_global_ap(scenario, 0.0)),
+                (per_image_ap(dets, truths, 0.0), oracles.oracle_per_image_ap(scenario, 0.0)),
+            ):
+                assert (got is None) if want is None else abs(got - float(want)) <= 1e-12, seed
 
     def test_map_and_pooled_variants_match(self):
         for seed in range(40):
