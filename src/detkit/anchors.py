@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _positive_count
 from .yolo import AnchorPrior
 
 
@@ -182,10 +183,8 @@ def kmeans_anchors(
     """
     if distance not in ("iou", "euclidean"):
         raise ValueError(f"distance must be 'iou' or 'euclidean', got {distance!r}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k!r}")
-    if max_iters <= 0:
-        raise ValueError(f"max_iters must be positive, got {max_iters!r}")
+    k = _positive_count("k", k)
+    max_iters = _positive_count("max_iters", max_iters)
     if not isinstance(samples, DimensionSamples):
         samples = DimensionSamples(np.array([(s.width, s.height) for s in samples], dtype=np.float64).reshape(-1, 2))
     dims = samples.sizes
@@ -230,8 +229,7 @@ def split_scales(priors: Sequence[AnchorPrior], num_scales: int) -> list[tuple[A
     group belongs on the coarsest.  Raises NotDivisibleError when the prior
     count is not a multiple of num_scales.
     """
-    if num_scales <= 0:
-        raise ValueError(f"num_scales must be positive, got {num_scales!r}")
+    num_scales = _positive_count("num_scales", num_scales)
     if len(priors) % num_scales != 0:
         raise NotDivisibleError(f"{len(priors)} priors do not split into {num_scales} equal groups")
     ordered = sorted(priors, key=lambda p: (p.area, p.width))

@@ -22,6 +22,15 @@ def _is_whole(value: float) -> bool:
         return False
 
 
+def _positive_count(name: str, value: float) -> int:
+    """value as an int; ValueError unless it is a positive whole number."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not _is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle in center form: finite fields and corners, positive finite area."""
@@ -99,7 +108,10 @@ def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when they are disjoint.
 
     Areas are taken from the same corner values used for the intersection so
-    that iou(b, b) == 1.0 exactly and the result never exceeds 1.
+    that iou(b, b) == 1.0 exactly and the result never exceeds 1, as long as
+    the union stays finite: for a box whose corner area is over half the
+    largest float, such as Box(0, 0, 1e154, 1e154), the union overflows and
+    iou(b, b) reads 0.0.
     """
     a_left, a_top, a_right, a_bottom = a.corners()
     b_left, b_top, b_right, b_bottom = b.corners()
@@ -126,19 +138,35 @@ _NMS_BLOCK = 32
 _LATER_IN_BLOCK = np.triu(np.ones((_NMS_BLOCK, _NMS_BLOCK), dtype=bool), 1)
 
 
-def _suppressed_by(rows: np.ndarray, cols: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """over[i, j]: iou of row box i and column box j is not <= iou_threshold.
+def _corner_rows(boxes: Sequence[Box]) -> np.ndarray:
+    """(left, top, right, bottom, area) rows: each box's corners as Box computes them, and iou's area of them."""
+    fields = np.array([(b.center_x, b.center_y, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    center, half = fields[:, :2], fields[:, 2:] / 2.0
+    corners = np.concatenate([center - half, center + half], axis=1)
+    size = corners[:, 2:] - corners[:, :2]
+    return np.column_stack([corners, size[:, 0] * size[:, 1]])
 
-    Boxes are (left, top, right, bottom, area) rows; the arithmetic is iou's,
-    elementwise, so every entry agrees with the scalar comparison exactly.
-    Pairs without a positive intersection have an IOU of 0.0, as in iou,
-    even where both corner areas are 0.0 and the quotient would be 0/0.
+
+def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """IOU matrix of two arrays of corner rows: [i, j] is the iou of row box i and column box j.
+
+    Every entry is the float iou gives, by iou's arithmetic elementwise.  A
+    pair without a positive intersection reads 0.0 even where both corner
+    areas are 0.0: the union is 0.0 only where the intersection is, so a
+    floor of the smallest positive float on the divisor changes no other
+    quotient.  Run it under np.errstate(all="ignore"); an overflowing union is inf, as in iou.
     """
     left, top, right, bottom, area = (rows[:, k, None] for k in range(5))
     inter_w = np.minimum(right, cols[:, 2]) - np.maximum(left, cols[:, 0])
     inter_h = np.minimum(bottom, cols[:, 3]) - np.maximum(top, cols[:, 1])
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
-    return (inter > 0.0) & ~(inter / (area + cols[:, 4] - inter) <= iou_threshold)
+    return inter / np.maximum(area + cols[:, 4] - inter, 5e-324)
+
+
+def _iou_lists(rows: Sequence[Box], cols: Sequence[Box]) -> list[list[float]]:
+    """[i][j] is iou(rows[i], cols[j]), every entry from one IOU matrix."""
+    with np.errstate(all="ignore"):
+        return _overlaps(_corner_rows(rows), _corner_rows(cols)).tolist()
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
@@ -154,7 +182,7 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     while alive.size:
         size = min(len(alive), _NMS_BLOCK)
         alive_boxes = boxes[alive]
-        over = _suppressed_by(alive_boxes[:size], alive_boxes, iou_threshold)
+        over = ~(_overlaps(alive_boxes[:size], alive_boxes) <= iou_threshold)
         struck = [False] * size
         pairs = np.nonzero(over[:, :size] & _LATER_IN_BLOCK[:size, :size])
         for i, j in zip(*(p.tolist() for p in pairs)):  # row-major: i is settled before it strikes
@@ -187,14 +215,8 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     if not groups:
         return [detections[i] for i in order]
     grouped = [i for members in groups for i in members]
-    fields = np.array(
-        [(b.center_x, b.center_y, b.width, b.height) for b in (detections[i].box for i in grouped)], dtype=np.float64
-    )
     with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
-        center, half = fields[:, :2], fields[:, 2:] / 2.0
-        corners = np.concatenate([center - half, center + half], axis=1)
-        size = corners[:, 2:] - corners[:, :2]
-        boxes = np.column_stack([corners, size[:, 0] * size[:, 1]])
+        boxes = _corner_rows([detections[i].box for i in grouped])
         bounds = np.cumsum([0] + [len(members) for members in groups]).tolist()
         keep = np.concatenate([_greedy_keep(boxes[a:b], iou_threshold) for a, b in zip(bounds, bounds[1:])])
     survives = [True] * len(detections)

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, ScoredBox, _check_threshold, _is_whole, iou
+# iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
+from .geometry import Box, ScoredBox, _check_threshold, _iou_lists, _is_whole, _positive_count, iou  # noqa: F401
 
 SMALL_AREA_MAX = 32.0 * 32.0
 MEDIUM_AREA_MAX = 96.0 * 96.0
@@ -219,14 +220,14 @@ def _sweep_order(detections: Iterable[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: (-d.score, d.index))
 
 
-def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
+def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float, taken: Iterable[int] = ()) -> list[int | None]:
     """The matching rule, over IOU rows given in sweep order.
 
     Row i takes the still-free column of highest IOU, provided that IOU
     reaches iou_threshold; the strict comparison sends IOU ties to the lower
-    column.  Returns each row's column, or None.
+    column.  Columns in taken are never free.  Returns each row's column, or None.
     """
-    taken: set[int] = set()
+    taken = set(taken)
     out: list[int | None] = []
     for row in rows:
         best = None
@@ -258,7 +259,7 @@ def match(
     _check_threshold(iou_threshold)
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
     cands = _sweep_order(d for d in detections.for_image(image_id) if d.class_id == class_id)
-    det_matches = _greedy([[iou(det.box, gt.box) for gt in truths] for det in cands], iou_threshold)
+    det_matches = _greedy(_iou_lists([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
     gt_matches: list[int | None] = [None] * len(truths)
     for pos, g in enumerate(det_matches):
         if g is not None:
@@ -316,19 +317,19 @@ class _Evaluation:
         for gt in self.truths:
             truths.setdefault((gt.image_id, gt.class_id), []).append(gt)
         lowest = min(thresholds)
-        # (detections, truths, IOU rows) for each group holding both, over the rows that can match
+        # (detections, truths, IOU rows, columns taken from the start) per group holding both, over rows that can match
         self.groups = []
         for key, dets in by_group.items():
             if key in truths:
-                rows = [(det, [iou(det.box, gt.box) for gt in truths[key]]) for det in dets]
+                rows = zip(dets, _iou_lists([det.box for det in dets], [gt.box for gt in truths[key]]))
                 rows = [(det, row) for det, row in rows if max(row) >= lowest]
-                self.groups.append(([det for det, _ in rows], truths[key], [row for _, row in rows]))
+                self.groups.append(([det for det, _ in rows], truths[key], [row for _, row in rows], ()))
         self.matched = {t: self._match(self.groups, t) for t in thresholds}
 
     def _match(self, groups, iou_threshold: float) -> dict[int, GroundTruth]:
         matched: dict[int, GroundTruth] = {}
-        for dets, truths, rows in groups:
-            for det, g in zip(dets, _greedy(rows, iou_threshold)):
+        for dets, truths, rows, taken in groups:
+            for det, g in zip(dets, _greedy(rows, iou_threshold, taken)):
                 if g is not None:
                     matched[det.index] = truths[g]
         return matched
@@ -373,29 +374,21 @@ class _Evaluation:
         """The COCO family, over every truth or over one size band's scope.
 
         A band's scope is its truths, the detections that no other band owns at
-        IOU 0.5, and a re-match on the IOU rows restricted to the band's truths.
+        IOU 0.5, and a re-match on the same IOU rows with the other bands'
+        truths taken from the start.
         """
         swept, matched, counts = self.by_class, self.matched, self.counts
         if band is not None:
-            owner = self.matched[0.5]
-
-            def kept(det: Detection) -> bool:
-                truth = owner.get(det.index)
-                return truth is None or area_band(truth.box) == band
-
+            owned = {index for index, truth in self.matched[0.5].items() if area_band(truth.box) != band}
             groups = []
-            for dets, truths, rows in self.groups:
-                columns = [g for g, gt in enumerate(truths) if area_band(gt.box) == band]
-                if columns:
-                    rest = [(det, row) for det, row in zip(dets, rows) if kept(det)]
-                    groups.append((
-                        [det for det, _ in rest],
-                        [truths[g] for g in columns],
-                        [[row[g] for g in columns] for _, row in rest],
-                    ))
+            for dets, truths, rows, _ in self.groups:
+                others = {g for g, gt in enumerate(truths) if area_band(gt.box) != band}
+                if len(others) < len(truths):
+                    rest = [(det, row) for det, row in zip(dets, rows) if det.index not in owned]
+                    groups.append(([det for det, _ in rest], truths, [row for _, row in rest], others))
             matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
             counts = Counter(gt.class_id for gt in self.truths if area_band(gt.box) == band)
-            swept = {c: [d for d in self.by_class.get(c, ()) if kept(d)] for c in counts}
+            swept = {c: [d for d in self.by_class.get(c, ()) if d.index not in owned] for c in counts}
         per_class = self._aps(swept, [matched[t] for t in COCO_IOU_THRESHOLDS], counts, "101-point")
         by_threshold = {t: _mean(list(aps.values())) for t, aps in zip(COCO_IOU_THRESHOLDS, per_class)}
         ap = _mean(list(by_threshold.values())) if counts else None
@@ -608,10 +601,10 @@ def evaluate(
     applies to the two pooled metrics only; the per-class families use their
     own fixed thresholds.  Size bands reuse the IOU-0.5 matches to decide
     which band owns each detection (see ap_by_area).  shards is kept for
-    compatibility: it must be positive, starts no threads and changes nothing.
+    compatibility: it must be a positive whole number, starts no threads and
+    changes nothing.
     """
-    if shards <= 0:
-        raise ValueError(f"shards must be positive, got {shards!r}")
+    _positive_count("shards", shards)
     extra = () if iou_threshold in COCO_IOU_THRESHOLDS else (iou_threshold,)
     evaluation = _Evaluation(detections, ground_truths, COCO_IOU_THRESHOLDS + extra)
     per_class = evaluation.class_aps(0.5, "continuous")

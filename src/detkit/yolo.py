@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Box, _is_whole, iou
+from .geometry import Box, _iou_lists, _is_whole
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -127,7 +127,7 @@ class PlacedPrior:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Shape of one detection head: an N x N grid, A priors per cell, C classes."""
+    """Shape of one detection head: an N x N grid, A priors per cell, C classes, each stored as int."""
 
     grid_size: int
     anchors_per_cell: int
@@ -139,6 +139,13 @@ class GridSpec:
                 "grid_size, anchors_per_cell and num_classes must all be positive, got "
                 f"{self.grid_size}/{self.anchors_per_cell}/{self.num_classes}"
             )
+        if not (_is_whole(self.grid_size) and _is_whole(self.anchors_per_cell) and _is_whole(self.num_classes)):
+            raise ValueError(
+                "grid_size, anchors_per_cell and num_classes must all be whole numbers, got "
+                f"{self.grid_size}/{self.anchors_per_cell}/{self.num_classes}"
+            )
+        for name in ("grid_size", "anchors_per_cell", "num_classes"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def channels_per_anchor(self) -> int:
@@ -327,11 +334,6 @@ def prior_loss(
     return total
 
 
-def _iou_matrix(placed_priors: Sequence[PlacedPrior], ground_truths: Sequence[Box]) -> list[list[float]]:
-    prior_boxes = [p.as_box() for p in placed_priors]
-    return [[iou(pb, gt) for gt in ground_truths] for pb in prior_boxes]
-
-
 def assign_yolo_from_ious(
     ious: Sequence[Sequence[float]], num_ground_truths: int, ignore_threshold: float = 0.5
 ) -> list[AssignmentLabel]:
@@ -389,7 +391,7 @@ def assign_yolo(
     above ignore_threshold are ignored, everything else is negative.  With no
     ground truths every prior is negative.
     """
-    ious = _iou_matrix(placed_priors, list(ground_truths))
+    ious = _iou_lists([p.as_box() for p in placed_priors], ground_truths)
     return assign_yolo_from_ious(ious, len(ground_truths), ignore_threshold)
 
 
@@ -440,7 +442,7 @@ def assign_dual_threshold(
     neg_threshold: float = 0.3,
 ) -> list[AssignmentLabel]:
     """Assign each prior by its maximum overlap against two fixed thresholds."""
-    ious = _iou_matrix(placed_priors, list(ground_truths))
+    ious = _iou_lists([p.as_box() for p in placed_priors], ground_truths)
     return assign_dual_threshold_from_ious(ious, len(ground_truths), pos_threshold, neg_threshold)
 
 
@@ -458,6 +460,9 @@ def tensor_index(spec: GridSpec, row: int, col: int, anchor: int, channel: int) 
         raise OutOfBoundsError(f"anchor {anchor} outside {spec.anchors_per_cell} slots")
     if not (0 <= channel < spec.channels_per_anchor):
         raise OutOfBoundsError(f"channel {channel} outside {spec.channels_per_anchor} channels")
+    if not (_is_whole(row) and _is_whole(col) and _is_whole(anchor) and _is_whole(channel)):
+        raise OutOfBoundsError(f"position ({row}, {col}, {anchor}, {channel}) must be whole numbers")
+    row, col, anchor, channel = int(row), int(col), int(anchor), int(channel)
     return ((row * spec.grid_size + col) * spec.anchors_per_cell + anchor) * spec.channels_per_anchor + channel
 
 
@@ -465,6 +470,9 @@ def tensor_unindex(spec: GridSpec, offset: int) -> tuple[int, int, int, int]:
     """Inverse of tensor_index: recover (row, col, anchor, channel) from a flat offset."""
     if not (0 <= offset < spec.total_elements):
         raise OutOfBoundsError(f"offset {offset} outside [0, {spec.total_elements})")
+    if not _is_whole(offset):
+        raise OutOfBoundsError(f"offset {offset} must be a whole number")
+    offset = int(offset)
     offset, channel = divmod(offset, spec.channels_per_anchor)
     offset, anchor = divmod(offset, spec.anchors_per_cell)
     row, col = divmod(offset, spec.grid_size)

@@ -263,6 +263,38 @@ class TestKmeansAnchors:
         assert len(result.centroids) == k
 
 
+class TestCountArguments:
+    samples = [DimensionSample(10.0, 10.0), DimensionSample(20.0, 30.0), DimensionSample(40.0, 25.0)]
+    priors = [AnchorPrior(10, 13), AnchorPrior(16, 30), AnchorPrior(33, 23)]
+
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    def test_k_must_be_whole(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be a whole number, got {k!r}$"):
+            kmeans_anchors(self.samples, k)
+
+    @pytest.mark.parametrize("max_iters", [2.5, math.nan, math.inf])
+    def test_max_iters_must_be_whole(self, max_iters):
+        with pytest.raises(ValueError, match=rf"^max_iters must be a whole number, got {max_iters!r}$"):
+            kmeans_anchors(self.samples, 2, max_iters=max_iters)
+
+    @pytest.mark.parametrize("num_scales", [1.5, math.nan, math.inf])
+    def test_num_scales_must_be_whole(self, num_scales):
+        with pytest.raises(ValueError, match=rf"^num_scales must be a whole number, got {num_scales!r}$"):
+            split_scales(self.priors, num_scales)
+
+    def test_positive_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"^k must be positive, got 0$"):
+            kmeans_anchors(self.samples, 0)
+        with pytest.raises(ValueError, match=r"^max_iters must be positive, got -1\.5$"):
+            kmeans_anchors(self.samples, 2, max_iters=-1.5)
+        with pytest.raises(ValueError, match=r"^num_scales must be positive, got 0$"):
+            split_scales(self.priors, 0)
+
+    def test_whole_valued_floats_count_as_ints(self):
+        assert kmeans_anchors(self.samples, 2.0, max_iters=3.0) == kmeans_anchors(self.samples, 2, max_iters=3)
+        assert split_scales(self.priors, 3.0) == split_scales(self.priors, 3)
+
+
 class TestSplitScales:
     def test_three_scale_reference_split(self):
         priors = [

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_boxes_close, boxes, canvas_boxes, scored_boxes
+from conftest import assert_boxes_close, boxes, canvas_boxes, finite_floats, scored_boxes
 from detkit import Box, ScoredBox, geometry, iou, nms
 from detkit.geometry import _NMS_BLOCK
 from oracles import oracle_nms
@@ -252,6 +252,70 @@ thin_boxes = st.builds(lambda left, top, h: Box.from_corner_size(left, top, 1e-1
 wide_boxes = st.builds(Box.from_corner_size, _hundreds, _grid_halves, _hundreds, _heights)
 
 
+def _box_or_none(*fields: float) -> Box | None:
+    try:
+        return Box(*fields)
+    except ValueError:
+        return None
+
+
+def _boxes_at_scale(exponent: int) -> st.SearchStrategy[list[Box]]:
+    """Boxes with centers and sizes near 10**exponent, so that they overlap; at 10**154 two areas overflow a sum."""
+    scale = 10.0 ** exponent
+    box = st.builds(_box_or_none, finite_floats(-scale, scale), finite_floats(-scale, scale),
+                    finite_floats(scale / 100.0, scale), finite_floats(scale / 100.0, scale))
+    return st.lists(box.filter(lambda b: b is not None), max_size=10)
+
+
+class TestOverlapsMatchScalarIou:
+    """Every entry of the IOU matrix is the float iou gives for the same pair, compared by float.hex."""
+
+    @staticmethod
+    def assert_same_as_iou(rows, cols):
+        got = geometry._iou_lists(rows, cols)
+        assert [[v.hex() for v in row] for row in got] == [[iou(a, b).hex() for b in cols] for a in rows]
+
+    @given(st.lists(grid_boxes, max_size=12), st.sampled_from([0.25, 0.5, 1.0]))
+    @example([Box.from_corners(0.0, 0.0, 1.0, 1.0), Box.from_corners(1.0, 0.0, 2.0, 1.0)], 1.0)
+    def test_touching_identical_and_nested_boxes(self, grid, shrink):
+        # Half-unit corners make touching edges common; each box also meets itself and a copy shrunk about its center.
+        nested = [Box(b.center_x, b.center_y, b.width * shrink, b.height * shrink) for b in grid]
+        self.assert_same_as_iou(grid + nested, grid + nested)
+
+    @given(st.lists(canvas_boxes, max_size=12), st.lists(canvas_boxes, max_size=12))
+    def test_canvas_boxes(self, rows, cols):
+        self.assert_same_as_iou(rows, cols)
+
+    @given(st.lists(boxes, max_size=12), st.lists(boxes, max_size=12))
+    def test_wide_ranging_centers_and_sizes(self, rows, cols):
+        self.assert_same_as_iou(rows, cols)
+
+    @given(st.integers(-100, 154).flatmap(_boxes_at_scale))
+    @example([Box(0.0, 0.0, 1e154, 1e154)])
+    def test_extreme_scales(self, scaled):
+        self.assert_same_as_iou(scaled, scaled)
+
+    @given(st.lists(thin_boxes | wide_boxes, max_size=12))
+    @example([Box.from_corner_size(100, 0, 1e-14, 10), Box.from_corner_size(100, 0, 1e-14, 10)])
+    def test_boxes_with_zero_corner_area(self, flat):
+        self.assert_same_as_iou(flat, flat)
+
+    def test_zero_corner_area_pair_reads_zero(self):
+        # Both corner areas and the intersection are 0.0; the matrix must not divide 0 by 0.
+        thin = Box.from_corner_size(100, 0, 1e-14, 10)
+        assert geometry._iou_lists([thin], [thin]) == [[0.0]]
+
+    def test_overflowing_union_reads_zero_as_in_iou(self):
+        big = Box(0.0, 0.0, 1e154, 1e154)
+        assert iou(big, big) == 0.0
+        assert geometry._iou_lists([big], [big]) == [[0.0]]
+
+    def test_empty_sides(self):
+        one = [Box(0.0, 0.0, 1.0, 1.0)]
+        assert geometry._iou_lists([], one) == []
+        assert geometry._iou_lists(one, []) == [[]]
+
+
 def _random_candidates(seed: int, count: int, classes: int, centers: int, spread: float) -> list[ScoredBox]:
     """Boxes jittered around a few planted centers, two-decimal scores (so ties occur)."""
     rng = random.Random(seed)
@@ -327,13 +391,13 @@ class TestNmsMatchesScalarOracle:
 
     def test_no_matrix_over_all_candidates(self, monkeypatch):
         shapes = []
-        suppressed_by = geometry._suppressed_by
+        overlaps = geometry._overlaps
 
-        def recording(rows, cols, iou_threshold):
+        def recording(rows, cols):
             shapes.append((len(rows), len(cols)))
-            return suppressed_by(rows, cols, iou_threshold)
+            return overlaps(rows, cols)
 
-        monkeypatch.setattr(geometry, "_suppressed_by", recording)
+        monkeypatch.setattr(geometry, "_overlaps", recording)
         dets = _random_candidates(2, count=4 * _NMS_BLOCK, classes=1, centers=40, spread=30.0)
         nms(dets, iou_threshold=0.45)
         assert max(rows for rows, _ in shapes) <= _NMS_BLOCK

@@ -654,6 +654,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(dets, truths, shards=0)
 
+    @pytest.mark.parametrize("shards", [2.5, math.nan, math.inf])
+    def test_shards_must_be_whole(self, shards):
+        dets, truths = _simple_pair()
+        with pytest.raises(ValueError, match=rf"^shards must be a whole number, got {shards!r}$"):
+            evaluate(dets, truths, shards=shards)
+
+    def test_shards_positive_message_unchanged(self):
+        dets, truths = _simple_pair()
+        with pytest.raises(ValueError, match=r"^shards must be positive, got -2$"):
+            evaluate(dets, truths, shards=-2)
+
 
 class TestSameOnEveryPython:
     """Python 3.12 made sum() of floats compensated; no report may depend on the interpreter's sum()."""

@@ -490,3 +490,47 @@ class TestTensorLayout:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GridSpec(grid_size=0, anchors_per_cell=3, num_classes=80)
+
+    @pytest.mark.parametrize("sizes", [(13.5, 3, 80), (math.inf, 3, 80), (13, math.nan, 80), (13, 3, 80.5)])
+    def test_spec_sizes_must_be_whole(self, sizes):
+        message = r"^grid_size, anchors_per_cell and num_classes must all be whole numbers, got "
+        with pytest.raises(ValueError, match=message):
+            GridSpec(*sizes)
+
+    @pytest.mark.parametrize("sizes, shown", [((0, 3, 80), "0/3/80"), ((13, -1.5, 80), "13/-1.5/80")])
+    def test_spec_positive_message_unchanged(self, sizes, shown):
+        message = rf"^grid_size, anchors_per_cell and num_classes must all be positive, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(*sizes)
+
+    def test_spec_whole_valued_floats_stored_as_int(self):
+        spec = GridSpec(13.0, 3.0, 80.0)
+        assert spec == GridSpec(13, 3, 80)
+        sizes = (spec.grid_size, spec.anchors_per_cell, spec.num_classes, spec.total_elements)
+        assert all(type(v) is int for v in sizes)
+
+    @pytest.mark.parametrize("position", [(1.5, 2, 0, 0), (1, 2.5, 0, 0), (1, 2, 0.5, 0), (1, 2, 0, 7.25)])
+    def test_position_must_be_whole(self, position):
+        spec = GridSpec(grid_size=13, anchors_per_cell=3, num_classes=80)
+        with pytest.raises(OutOfBoundsError, match=r"^position \(.*\) must be whole numbers$"):
+            tensor_index(spec, *position)
+
+    @pytest.mark.parametrize("row, shown", [(-1.5, "-1.5"), (13.5, "13.5"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_position_range_message_unchanged(self, row, shown):
+        spec = GridSpec(grid_size=13, anchors_per_cell=3, num_classes=80)
+        with pytest.raises(OutOfBoundsError, match=rf"^row {shown} outside grid of size 13$"):
+            tensor_index(spec, row, 0, 0, 0)
+
+    def test_offset_must_be_whole(self):
+        spec = GridSpec(grid_size=13, anchors_per_cell=3, num_classes=80)
+        with pytest.raises(OutOfBoundsError, match=r"^offset 10\.5 must be a whole number$"):
+            tensor_unindex(spec, 10.5)
+        with pytest.raises(OutOfBoundsError, match=r"^offset nan outside \[0, 43095\)$"):
+            tensor_unindex(spec, math.nan)
+
+    def test_whole_valued_float_positions_read_as_int(self):
+        spec = GridSpec(grid_size=13, anchors_per_cell=3, num_classes=80)
+        offset = tensor_index(spec, 1.0, 2.0, 1.0, 7.0)
+        assert offset == 3917 and type(offset) is int
+        position = tensor_unindex(spec, 3917.0)
+        assert position == (1, 2, 1, 7) and all(type(v) is int for v in position)
