@@ -8,8 +8,9 @@ coordinates are image pixels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,9 +32,28 @@ def _positive_count(name: str, value: float) -> int:
     return int(value)
 
 
+# The types a number field is stored as given in; float first, as it is the most common.
+_PLAIN_NUMBERS = (float, int)
+
+
+def _store_floats(obj: object, names: Sequence[str]) -> None:
+    """Store each named field that is a number but not exactly an int or a float as float(value).
+
+    A numpy scalar field would otherwise set the precision of the arithmetic
+    done on it and reach json as a type it cannot write.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) not in _PLAIN_NUMBERS and isinstance(value, numbers.Real):
+            object.__setattr__(obj, name, float(value))
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in center form: finite fields and corners, positive finite area."""
+    """Axis-aligned rectangle in center form: finite fields and corners, positive finite area.
+
+    Python ints and floats are stored as given; any other number as float.
+    """
 
     center_x: float
     center_y: float
@@ -41,6 +61,13 @@ class Box:
     height: float
 
     def __post_init__(self) -> None:
+        if not (
+            type(self.center_x) in _PLAIN_NUMBERS
+            and type(self.center_y) in _PLAIN_NUMBERS
+            and type(self.width) in _PLAIN_NUMBERS
+            and type(self.height) in _PLAIN_NUMBERS
+        ):
+            _store_floats(self, ("center_x", "center_y", "width", "height"))
         if not (self.width > 0.0):
             raise ValueError(f"box width must be positive, got {self.width!r}")
         if not (self.height > 0.0):
@@ -87,13 +114,18 @@ class Box:
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """A class-labelled detection: a score in [0, 1] and a non-negative whole class id, stored as int."""
+    """A class-labelled detection: a score in [0, 1] and a non-negative whole class id, stored as int.
+
+    The score is stored as Box stores a field.
+    """
 
     box: Box
     score: float
     class_id: int
 
     def __post_init__(self) -> None:
+        if type(self.score) not in _PLAIN_NUMBERS:
+            _store_floats(self, ("score",))
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
         if self.class_id < 0:
@@ -167,6 +199,30 @@ def _iou_lists(rows: Sequence[Box], cols: Sequence[Box]) -> list[list[float]]:
     """[i][j] is iou(rows[i], cols[j]), every entry from one IOU matrix."""
     with np.errstate(all="ignore"):
         return _overlaps(_corner_rows(rows), _corner_rows(cols)).tolist()
+
+
+def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float, taken: Iterable[int] = ()) -> list[int | None]:
+    """The greedy matching rule: each row in turn claims a column.
+
+    Row i takes the still-free column of highest IOU, provided that IOU
+    reaches iou_threshold and exceeds -1 (NaN never does); the strict
+    comparison sends IOU ties to the lower column.  Columns in taken are never
+    free.  Returns each row's column, or None.  Evaluation runs it with
+    detections as rows in sweep order, prior assignment with truths as rows.
+    """
+    taken = set(taken)
+    out: list[int | None] = []
+    for row in rows:
+        best = None
+        best_value = -1.0
+        for g, value in enumerate(row):
+            if value >= iou_threshold and value > best_value and g not in taken:
+                best_value = value
+                best = g
+        out.append(best)
+        if best is not None:
+            taken.add(best)
+    return out
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Detection evaluation: greedy matching, PR curves, and the AP metric family.
 
-Every metric is a view over one matching pass: image ids are checked once,
-detections and truths are grouped once by (image, class), each same-group IOU
-is computed once, and one greedy rule matches at every threshold needed.  A
-detection matched at IOU 0.5 belongs to its truth's size band; other bands
-leave it out of both their ranking and their re-matching.
+Every metric is a view over one matching pass: image and category ids are
+checked once, detections and truths are grouped once by (image, class), each
+same-group IOU is computed once, and one greedy rule matches at every threshold
+needed.  A detection matched at IOU 0.5 belongs to its truth's size band;
+other bands leave it out of both their ranking and their re-matching.
 
 Alongside the usual per-class AP means (VOC-style mAP at IOU 0.5 and the
 COCO-style threshold sweep), this module provides two rank-sensitive
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
-from .geometry import Box, ScoredBox, _check_threshold, _iou_lists, _is_whole, _positive_count, iou  # noqa: F401
+from .geometry import Box, ScoredBox, _check_threshold, _greedy, _iou_lists, _is_whole, _positive_count, iou  # noqa: F401
 
 SMALL_AREA_MAX = 32.0 * 32.0
 MEDIUM_AREA_MAX = 96.0 * 96.0
@@ -220,28 +220,6 @@ def _sweep_order(detections: Iterable[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: (-d.score, d.index))
 
 
-def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float, taken: Iterable[int] = ()) -> list[int | None]:
-    """The matching rule, over IOU rows given in sweep order.
-
-    Row i takes the still-free column of highest IOU, provided that IOU
-    reaches iou_threshold; the strict comparison sends IOU ties to the lower
-    column.  Columns in taken are never free.  Returns each row's column, or None.
-    """
-    taken = set(taken)
-    out: list[int | None] = []
-    for row in rows:
-        best = None
-        best_value = -1.0
-        for g, value in enumerate(row):
-            if value >= iou_threshold and value > best_value and g not in taken:
-                best_value = value
-                best = g
-        out.append(best)
-        if best is not None:
-            taken.add(best)
-    return out
-
-
 def match(
     detections: DetectionResultSet,
     ground_truths: GroundTruthSet,
@@ -279,16 +257,27 @@ class PRCurve:
         return average_precision(self, "continuous")
 
 
+def _check_inputs(detections: DetectionResultSet, ground_truths: GroundTruthSet, thresholds: Sequence[float]) -> None:
+    """Raise for a threshold outside [0, 1], then for a detection naming an unregistered image or undeclared category."""
+    for threshold in thresholds:
+        _check_threshold(threshold)
+    for det in detections:
+        if det.image_id not in ground_truths.images:
+            raise UnknownImageError(det.image_id)
+        if det.class_id not in ground_truths.categories:
+            raise ValueError(f"detection references unknown category {det.class_id}")
+
+
 class _Evaluation:
     """The one matching pass behind every metric.
 
-    Image ids are checked once.  Detections are grouped once by (image,
-    class) in sweep order, truths once by (image, class) in input order, and
-    the IOU of every same-group (detection, truth) pair is computed once.  A
-    detection whose IOUs all fall below the lowest threshold can match at no
-    threshold, so its row is dropped before matching; it still ranks as a
-    false positive.  matched[t] maps the input index of each detection that
-    took a truth at threshold t to that truth.
+    Image and category ids are checked once.  Detections are grouped once by
+    (image, class) in sweep order, truths once by (image, class) in input
+    order, and the IOU of every same-group (detection, truth) pair is computed
+    once.  A detection whose IOUs all fall below the lowest threshold can
+    match at no threshold, so its row is dropped before matching; it still
+    ranks as a false positive.  matched[t] maps the input index of each
+    detection that took a truth at threshold t to that truth.
     """
 
     def __init__(
@@ -297,11 +286,7 @@ class _Evaluation:
         ground_truths: GroundTruthSet,
         thresholds: Sequence[float],
     ) -> None:
-        for threshold in thresholds:
-            _check_threshold(threshold)
-        for det in detections:
-            if det.image_id not in ground_truths.images:
-                raise UnknownImageError(det.image_id)
+        _check_inputs(detections, ground_truths, thresholds)
         # every truth, image by image in input order
         self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
         self.counts = Counter(gt.class_id for gt in self.truths)
@@ -414,12 +399,14 @@ def pr_curve(
 
     The recall denominator is the total ground-truth count of the class;
     raises NoGroundTruthError when that count is zero (callers exclude such
-    classes from any mean).
+    classes from any mean).  Every detection is checked, but only the class's
+    own are matched.
     """
-    evaluation = _Evaluation(detections, ground_truths, (iou_threshold,))
+    _check_inputs(detections, ground_truths, (iou_threshold,))
     num_gt = ground_truths.class_count(class_id)
     if num_gt == 0:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
+    evaluation = _Evaluation(detections.filter(lambda d: d.class_id == class_id), ground_truths, (iou_threshold,))
     sweeps = evaluation._sweeps(evaluation.by_class, [evaluation.matched[iou_threshold]], {class_id: num_gt})
     recall, precision, _ = sweeps[0]
     return PRCurve(tuple(zip(recall.tolist(), precision.tolist())), num_gt)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Sequence
 
-from .geometry import Box, _iou_lists, _is_whole
+from .geometry import Box, _greedy, _iou_lists, _is_whole
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -115,14 +116,8 @@ class PlacedPrior:
     cell: GridCell
 
     def as_box(self) -> Box:
-        """The prior's shape centered on its cell's center, in image pixels."""
-        s = self.cell.stride
-        return Box(
-            (self.cell.col + 0.5) * s,
-            (self.cell.row + 0.5) * s,
-            self.prior.width,
-            self.prior.height,
-        )
+        """The prior's shape centered on its cell's center, in image pixels: the decode of zero offsets."""
+        return decode(RawPrediction(0.0, 0.0, 0.0, 0.0), self.cell, self.prior)
 
 
 @dataclass(frozen=True)
@@ -311,9 +306,7 @@ def prior_loss(
     """
     if label.is_ignored:
         return 0.0
-    obj_target = objectness_target(label)
-    assert obj_target is not None
-    total = bce_loss(sigmoid(pred.objectness), int(obj_target))
+    total = bce_loss(sigmoid(pred.objectness), objectness_target(label))
     if label.is_negative:
         return total
     if target_coords is None or class_targets is None:
@@ -354,19 +347,11 @@ def assign_yolo_from_ious(
     num_priors = len(ious)
     if num_priors == 0:
         raise ValueError("at least one prior is required")
-    positives: dict[int, int] = {}
-    for g in range(num_ground_truths):
-        best_prior = None
-        best_value = -1.0
-        for i in range(num_priors):
-            if i in positives:
-                continue
-            if ious[i][g] > best_value:
-                best_value = ious[i][g]
-                best_prior = i
-        if best_prior is None:
-            break
-        positives[best_prior] = g
+    # The matching rule with truths as rows: at threshold -inf a truth claims
+    # its best free prior of IOU above -1.  A truth that claims nothing ends
+    # the claims, so later truths get no prior either.
+    claims = _greedy([[row[g] for row in ious] for g in range(num_ground_truths)], -math.inf)
+    positives = {i: g for g, i in enumerate(takewhile(lambda i: i is not None, claims))}
     labels: list[AssignmentLabel] = []
     for i in range(num_priors):
         if i in positives:
@@ -415,17 +400,13 @@ def assign_dual_threshold_from_ious(
     num_priors = len(ious)
     if num_priors == 0:
         raise ValueError("at least one prior is required")
+    if num_ground_truths == 0:
+        return [NEGATIVE] * num_priors
     labels: list[AssignmentLabel] = []
-    for i in range(num_priors):
-        if num_ground_truths == 0:
-            labels.append(NEGATIVE)
-            continue
-        best_gt = 0
-        best_value = ious[i][0]
-        for g in range(1, num_ground_truths):
-            if ious[i][g] > best_value:
-                best_value = ious[i][g]
-                best_gt = g
+    for row in ious:
+        # max keeps the first maximum: it replaces its pick only on a strictly greater IOU
+        best_gt = max(range(num_ground_truths), key=row.__getitem__)
+        best_value = row[best_gt]
         if best_value >= pos_threshold:
             labels.append(AssignmentLabel.positive(best_gt))
         elif best_value >= neg_threshold:

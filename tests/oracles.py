@@ -13,6 +13,10 @@ AP can be required to give the same floats bit for bit, and
 oracle_load_dimension_samples is the per-line box-size loader and
 oracle_distances the (n, k, 2) k-means distance formulas, so that the array
 versions can be required to give the same arrays and messages bit for bit.
+oracle_assign_yolo_from_ious and oracle_assign_dual_threshold_from_ious are
+the hand-written claim loop and first-maximum scan of the two prior
+assignment rules, so that the library's versions can be required to give
+the same labels on any matrix, NaN and infinities included.
 compensated_sum is not an oracle but a stand-in: Python 3.12's sum() of
 floats, for running the library as a newer interpreter would.
 """
@@ -29,6 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from detkit import (
+    IGNORED,
+    NEGATIVE,
+    AssignmentLabel,
     Box,
     DetectionResultSet,
     DimensionSample,
@@ -211,6 +218,65 @@ def oracle_distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.n
     inter = np.minimum(dims[:, None, :], centroids[None, :, :]).prod(axis=-1)
     union = dims.prod(axis=-1)[:, None] + centroids.prod(axis=-1)[None, :] - inter
     return 1.0 - inter / union
+
+
+def oracle_assign_yolo_from_ious(
+    ious: Sequence[Sequence[float]], num_ground_truths: int, ignore_threshold: float = 0.5
+) -> list[AssignmentLabel]:
+    """Each truth in index order claims the unclaimed prior of strictly greatest
+    IOU above -1 (first prior on ties); the first truth that finds none ends the
+    claims.  Unclaimed priors above ignore_threshold against any truth are ignored."""
+    num_priors = len(ious)
+    positives: dict[int, int] = {}
+    for g in range(num_ground_truths):
+        best_prior = None
+        best_value = -1.0
+        for i in range(num_priors):
+            if i in positives:
+                continue
+            if ious[i][g] > best_value:
+                best_value = ious[i][g]
+                best_prior = i
+        if best_prior is None:
+            break
+        positives[best_prior] = g
+    labels: list[AssignmentLabel] = []
+    for i in range(num_priors):
+        if i in positives:
+            labels.append(AssignmentLabel.positive(positives[i]))
+        elif any(ious[i][g] > ignore_threshold for g in range(num_ground_truths)):
+            labels.append(IGNORED)
+        else:
+            labels.append(NEGATIVE)
+    return labels
+
+
+def oracle_assign_dual_threshold_from_ious(
+    ious: Sequence[Sequence[float]],
+    num_ground_truths: int,
+    pos_threshold: float = 0.7,
+    neg_threshold: float = 0.3,
+) -> list[AssignmentLabel]:
+    """Per prior, scan its first num_ground_truths IOUs for the first maximum
+    (replaced only by a strictly greater value) and label it by that value."""
+    labels: list[AssignmentLabel] = []
+    for i in range(len(ious)):
+        if num_ground_truths == 0:
+            labels.append(NEGATIVE)
+            continue
+        best_gt = 0
+        best_value = ious[i][0]
+        for g in range(1, num_ground_truths):
+            if ious[i][g] > best_value:
+                best_value = ious[i][g]
+                best_gt = g
+        if best_value >= pos_threshold:
+            labels.append(AssignmentLabel.positive(best_gt))
+        elif best_value >= neg_threshold:
+            labels.append(IGNORED)
+        else:
+            labels.append(NEGATIVE)
+    return labels
 
 
 def oracle_tp_flags(scenario: Scenario, iou_threshold: float) -> dict[int, bool]:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_boxes_close, boxes, canvas_boxes, finite_floats, scored_boxes
-from detkit import Box, ScoredBox, geometry, iou, nms
+from detkit import Box, DetectionResultSet, ScoredBox, dump_results, geometry, iou, nms
 from detkit.geometry import _NMS_BLOCK
 from oracles import oracle_nms
 
@@ -104,6 +104,39 @@ class TestScoredBox:
     def test_class_id_stored_as_int(self, class_id):
         stored = ScoredBox(box=Box(0.0, 0.0, 1.0, 1.0), score=0.5, class_id=class_id).class_id
         assert type(stored) is int and stored == class_id
+
+
+class TestNumericStorage:
+    """Box fields and scores that are numbers of another type are stored as float; ints and floats as given."""
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, np.int64], ids=["np.float32", "np.float64", "np.int64"])
+    def test_numpy_fields_and_score_become_floats(self, kind):
+        scored = ScoredBox(Box(kind(10), kind(20), kind(30), kind(40)), kind(1), 0)
+        fields = (scored.box.center_x, scored.box.center_y, scored.box.width, scored.box.height, scored.score)
+        assert [(type(v), v) for v in fields] == [(float, 10.0), (float, 20.0), (float, 30.0), (float, 40.0), (float, 1.0)]
+
+    def test_iou_of_float32_boxes_is_the_matrix_entry(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a, b = (Box(*(np.float32(v) for v in rng.uniform([0, 0, 1, 1], [50, 50, 40, 40]))) for _ in range(2))
+            value = iou(a, b)
+            assert type(value) is float
+            assert value == geometry._iou_lists([a], [b])[0][0]
+
+    def test_dump_results_writes_numpy_fields_and_scores(self):
+        scored = ScoredBox(Box(*(np.float32(v) for v in (10.3, 20.1, 30.7, 40.2))), np.float32(0.3), 1)
+        written = dump_results(DetectionResultSet([(1, scored)]))
+        assert '"score": 0.30000001192092896' in written
+
+    def test_python_ints_and_floats_stay_as_given(self):
+        scored = ScoredBox(Box(1, 2.5, 3, 4.0), 1, 0)
+        assert repr(scored) == "ScoredBox(box=Box(center_x=1, center_y=2.5, width=3, height=4.0), score=1, class_id=0)"
+
+    def test_strings_are_still_rejected(self):
+        with pytest.raises(TypeError):
+            Box("1", 2.0, 3.0, 4.0)
+        with pytest.raises(TypeError):
+            ScoredBox(Box(1.0, 2.0, 3.0, 4.0), "0.5", 0)
 
 
 class TestIou:

@@ -157,6 +157,30 @@ class TestPRCurve:
         with pytest.raises(UnknownImageError):
             pr_curve(bad, truths, 0.5, 1)
 
+    def test_matches_only_the_requested_class(self, monkeypatch):
+        truths = _truths([(1, 1, (0, 0, 10, 10)), (1, 2, (50, 50, 60, 60))])
+        dets = _dets([(1, 2, 0.9, (50, 50, 60, 60)), (1, 1, 0.8, (0, 0, 10, 10)), (1, 2, 0.7, (51, 51, 61, 61))])
+        built = []
+        iou_lists = metrics._iou_lists
+
+        def recording(rows, cols):
+            built.append(rows + cols)
+            return iou_lists(rows, cols)
+
+        monkeypatch.setattr(metrics, "_iou_lists", recording)
+        assert pr_curve(dets, truths, 0.5, class_id=1).points == ((1.0, 1.0),)
+        assert built == [[Box.from_corners(0, 0, 10, 10)] * 2]
+
+    def test_unknown_image_in_another_class_detected(self):
+        truths = _truths([(1, 1, (0, 0, 10, 10))], categories=[1, 2])
+        with pytest.raises(UnknownImageError):
+            pr_curve(_dets([(1, 1, 0.9, (0, 0, 10, 10)), (99, 2, 0.5, (0, 0, 1, 1))]), truths, 0.5, 1)
+
+    def test_undeclared_category_in_another_class_rejected(self):
+        truths = _truths([(1, 1, (0, 0, 10, 10))])
+        with pytest.raises(ValueError, match=r"^detection references unknown category 7$"):
+            pr_curve(_dets([(1, 1, 0.9, (0, 0, 10, 10)), (1, 7, 0.5, (0, 0, 1, 1))]), truths, 0.5, 1)
+
     def test_empty_detections_gives_empty_curve(self):
         _, truths = _simple_pair()
         curve = pr_curve(_dets([]), truths, 0.5, 1)
@@ -633,6 +657,18 @@ def _assert_report_agrees_with_parts(dets, truths):
 class TestEvaluate:
     def test_report_agrees_with_parts(self):
         _assert_report_agrees_with_parts(*_simple_pair())
+
+    @pytest.mark.parametrize(
+        "view",
+        [evaluate, map_voc, coco_ap, global_ap, per_image_ap, per_class_ap, lambda d, t: ap_by_area(d, t, "small")],
+        ids=["evaluate", "map_voc", "coco_ap", "global_ap", "per_image_ap", "per_class_ap", "ap_by_area"],
+    )
+    def test_detection_of_undeclared_category_rejected(self, view):
+        # Scored, it would halve global_ap and per_image_ap and drop out of the per-class mean.
+        truths = _truths([(1, 1, (0, 0, 10, 10))])
+        dets = _dets([(1, 1, 0.9, (0, 0, 10, 10)), (1, 7, 0.95, (20, 20, 30, 30))])
+        with pytest.raises(ValueError, match=r"^detection references unknown category 7$"):
+            view(dets, truths)
 
     @given(band_scenarios())
     @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -356,6 +356,62 @@ def test_geometric_wrappers_require_a_prior(assign):
     truth = Box(center_x=8.0, center_y=8.0, width=4.0, height=4.0)
     with pytest.raises(ValueError, match="at least one prior"):
         assign([], [truth])
+
+
+# IOU matrix entries: ties, NaN, the infinities and values of -1 or less come up often
+iou_entries = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -2.0, -1.0, 0.0, 0.3, 0.5, 0.7, 1.0]),
+    st.floats(),
+)
+
+
+@st.composite
+def iou_matrices(draw):
+    """(ious, num_ground_truths): 1-6 priors, rows of one width 0-6, and at most that many truths.
+
+    So truths may outnumber priors, there may be none, and rows may be longer than the truth count.
+    """
+    width = draw(st.integers(0, 6))
+    ious = draw(st.lists(st.lists(iou_entries, min_size=width, max_size=width), min_size=1, max_size=6))
+    return ious, draw(st.integers(0, width))
+
+
+class TestAssignmentMatchesOracles:
+    """Both rules give the labels of the hand-written loops in oracles, on any matrix."""
+
+    @given(iou_matrices(), st.sampled_from([0.0, 0.5, 1.0]))
+    @example(([[math.nan, 0.9], [0.2, 0.6]], 2), 0.5)
+    @settings(max_examples=400)
+    def test_yolo_labels(self, matrix, ignore_threshold):
+        ious, n = matrix
+        want = oracles.oracle_assign_yolo_from_ious(ious, n, ignore_threshold)
+        assert assign_yolo_from_ious(ious, n, ignore_threshold) == want
+
+    @given(iou_matrices(), st.sampled_from([(0.0, 0.0), (0.3, 0.7), (0.5, 0.5), (1.0, 1.0)]))
+    @example(([[0.8, math.nan]], 2), (0.3, 0.7))
+    @settings(max_examples=400)
+    def test_dual_threshold_labels(self, matrix, thresholds):
+        ious, n = matrix
+        neg, pos = thresholds
+        want = oracles.oracle_assign_dual_threshold_from_ious(ious, n, pos, neg)
+        assert assign_dual_threshold_from_ious(ious, n, pos, neg) == want
+
+    def test_a_truth_that_claims_nothing_ends_the_claims(self):
+        # truth 0 has no IOU above -1, so truth 1 claims no prior although prior 1 is free
+        labels = assign_yolo_from_ious([[math.nan, 0.9], [-1.0, 0.6]], num_ground_truths=2)
+        assert labels == [IGNORED, IGNORED]
+
+    def test_nan_never_replaces_the_first_maximum(self):
+        assert assign_dual_threshold_from_ious([[0.8, math.nan]], 2) == [AssignmentLabel.positive(0)]
+        assert assign_dual_threshold_from_ious([[math.nan, 0.8]], 2) == [NEGATIVE]
+
+
+class TestPlacedPrior:
+    @given(cell_indices, cell_indices, strides, prior_sizes, prior_sizes)
+    def test_box_centers_the_prior_on_its_cell(self, col, row, stride, width, height):
+        box = PlacedPrior(AnchorPrior(width, height), GridCell(col, row, stride)).as_box()
+        want = ((col + 0.5) * stride, (row + 0.5) * stride, width, height)
+        assert [v.hex() for v in (box.center_x, box.center_y, box.width, box.height)] == [v.hex() for v in want]
 
 
 class TestPriorLoss:
