@@ -7,8 +7,10 @@ coordinates are image pixels.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -201,6 +203,24 @@ def _iou_lists(rows: Sequence[Box], cols: Sequence[Box]) -> list[list[float]]:
         return _overlaps(_corner_rows(rows), _corner_rows(cols)).tolist()
 
 
+def _visit_order(items: Sequence) -> list[int]:
+    """Positions of items (anything with a score) by descending score, ties in input order.
+
+    The one visit order of every ranking and greedy pass.  sorted is stable,
+    so items of equal score (0, 0.0 and -0.0 among them) keep their order.
+    """
+    return sorted(range(len(items)), key=lambda i: -items[i].score)
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """values added left to right from 0.0: the one sum behind every mean and loss.
+
+    The builtin sum() of floats is compensated from Python 3.12 on and
+    rounds differently, so it would make outputs depend on the interpreter.
+    """
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float, taken: Iterable[int] = ()) -> list[int | None]:
     """The greedy matching rule: each row in turn claims a column.
 
@@ -262,20 +282,17 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     so the kept list is the scalar rule's exactly.
     """
     _check_threshold(iou_threshold)
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    order = _visit_order(detections)
     by_class: dict[int, list[int]] = {}
     for i in order:
         by_class.setdefault(detections[i].class_id, []).append(i)
     # A class's first candidate is always kept, so only classes of two or more need IOU.
     groups = [members for members in by_class.values() if len(members) > 1]
-    if not groups:
-        return [detections[i] for i in order]
-    grouped = [i for members in groups for i in members]
-    with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
-        boxes = _corner_rows([detections[i].box for i in grouped])
-        bounds = np.cumsum([0] + [len(members) for members in groups]).tolist()
-        keep = np.concatenate([_greedy_keep(boxes[a:b], iou_threshold) for a, b in zip(bounds, bounds[1:])])
     survives = [True] * len(detections)
-    for i, kept in zip(grouped, keep.tolist()):
-        survives[i] = kept
+    if groups:
+        with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
+            boxes = _corner_rows([detection.box for detection in detections])
+            for members in groups:
+                for i, kept in zip(members, _greedy_keep(boxes[members], iou_threshold).tolist()):
+                    survives[i] = kept
     return [detections[i] for i in order if survives[i]]

@@ -21,7 +21,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
-from .geometry import Box, ScoredBox, _check_threshold, _greedy, _iou_lists, _is_whole, _positive_count, iou  # noqa: F401
+from .geometry import (  # noqa: F401
+    Box, ScoredBox, _check_threshold, _greedy, _iou_lists, _is_whole, _positive_count, _sum_in_order, _visit_order, iou,
+)
 
 SMALL_AREA_MAX = 32.0 * 32.0
 MEDIUM_AREA_MAX = 96.0 * 96.0
@@ -216,10 +218,6 @@ class MatchTable:
     gt_matches: tuple[int | None, ...]
 
 
-def _sweep_order(detections: Iterable[Detection]) -> list[Detection]:
-    return sorted(detections, key=lambda d: (-d.score, d.index))
-
-
 def match(
     detections: DetectionResultSet,
     ground_truths: GroundTruthSet,
@@ -236,7 +234,8 @@ def match(
     """
     _check_threshold(iou_threshold)
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
-    cands = _sweep_order(d for d in detections.for_image(image_id) if d.class_id == class_id)
+    cands = [d for d in detections.for_image(image_id) if d.class_id == class_id]
+    cands = [cands[i] for i in _visit_order(cands)]
     det_matches = _greedy(_iou_lists([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
     gt_matches: list[int | None] = [None] * len(truths)
     for pos, g in enumerate(det_matches):
@@ -290,7 +289,7 @@ class _Evaluation:
         # every truth, image by image in input order
         self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
         self.counts = Counter(gt.class_id for gt in self.truths)
-        self.order = _sweep_order(detections)
+        self.order = [detections.detections[i] for i in _visit_order(detections.detections)]
         self.by_class: dict[int, list[Detection]] = {}
         self.by_image: dict[int, list[Detection]] = {}
         by_group: dict[tuple[int, int], list[Detection]] = {}
@@ -469,17 +468,10 @@ def per_class_ap(
 
 
 def _mean(values: Sequence[float]) -> float | None:
-    """The arithmetic mean, or None for no values.
-
-    Added left to right, as sum() added floats before Python 3.12 compensated
-    it, so every mean is the same on every supported Python.
-    """
+    """The arithmetic mean, or None for no values."""
     if not values:
         return None
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values)
+    return _sum_in_order(values) / len(values)
 
 
 def map_voc(detections: DetectionResultSet, ground_truths: GroundTruthSet) -> float | None:

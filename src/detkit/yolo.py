@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Sequence
 
-from .geometry import Box, _greedy, _iou_lists, _is_whole
+from .geometry import Box, _greedy, _iou_lists, _is_whole, _sum_in_order
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -314,14 +314,8 @@ def prior_loss(
     if len(class_targets) != len(pred.class_logits):
         raise ValueError("class_targets length must match class_logits")
     predicted = (pred.x, pred.y, pred.w, pred.h)
-    # Each term sum is added left to right, as sum() added floats before
-    # Python 3.12 compensated it, so the loss is the same on every Python.
-    squares = 0.0
-    for r in coord_gradient(target_coords, predicted):
-        squares += r * r
-    class_terms = 0.0
-    for z, y in zip(pred.class_logits, class_targets):
-        class_terms += bce_loss(sigmoid(z), y)
+    squares = _sum_in_order(r * r for r in coord_gradient(target_coords, predicted))
+    class_terms = _sum_in_order(bce_loss(sigmoid(z), y) for z, y in zip(pred.class_logits, class_targets))
     total += 0.5 * squares
     total += class_terms
     return total
