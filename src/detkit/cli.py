@@ -24,7 +24,7 @@ from .dataio import (
     load_results,
     load_speed_table,
 )
-from .geometry import nms
+from .geometry import _check_threshold, nms
 from .metrics import DetectionResultSet, MetricReport, evaluate
 from .yolo import GridSpec, OutOfBoundsError, tensor_index
 
@@ -115,6 +115,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 def _cmd_nms(args: argparse.Namespace) -> int:
     truths = load_dataset(args.gt)  # supplies the image registry only
     detections = load_results(args.dets, truths)
+    _check_threshold(args.iou)  # here too, for a dataset without images, where nms never runs
     survivors = []
     for image_id in truths.image_ids:
         kept = nms([d.scored for d in detections.for_image(image_id)], args.iou)

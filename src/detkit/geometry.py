@@ -142,10 +142,9 @@ def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when they are disjoint.
 
     Areas are taken from the same corner values used for the intersection so
-    that iou(b, b) == 1.0 exactly and the result never exceeds 1, as long as
-    the union stays finite: for a box whose corner area is over half the
-    largest float, such as Box(0, 0, 1e154, 1e154), the union overflows and
-    iou(b, b) reads 0.0.
+    that iou(b, b) == 1.0 exactly and the result never exceeds 1.  A union
+    that overflows, as for Box(0, 0, 1e154, 1e154) with itself, is taken by
+    _overlaps' rule for it.
     """
     a_left, a_top, a_right, a_bottom = a.corners()
     b_left, b_top, b_right, b_bottom = b.corners()
@@ -156,7 +155,10 @@ def iou(a: Box, b: Box) -> float:
     inter = inter_w * inter_h
     area_a = (a_right - a_left) * (a_bottom - a_top)
     area_b = (b_right - b_left) * (b_bottom - b_top)
-    return inter / (area_a + area_b - inter)
+    union = area_a + area_b - inter
+    if union == math.inf:
+        return _iou_lists([a], [b])[0][0]
+    return inter / union
 
 
 def _check_threshold(iou_threshold: float) -> None:
@@ -188,13 +190,20 @@ def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     pair without a positive intersection reads 0.0 even where both corner
     areas are 0.0: the union is 0.0 only where the intersection is, so a
     floor of the smallest positive float on the divisor changes no other
-    quotient.  Run it under np.errstate(all="ignore"); an overflowing union is inf, as in iou.
+    quotient.  Where the two areas' sum overflows, the intersection and both
+    areas are halved first: that is exact at such sizes, and the halved sum
+    cannot overflow.  Run it under np.errstate(all="ignore").
     """
     left, top, right, bottom, area = (rows[:, k, None] for k in range(5))
     inter_w = np.minimum(right, cols[:, 2]) - np.maximum(left, cols[:, 0])
     inter_h = np.minimum(bottom, cols[:, 3]) - np.maximum(top, cols[:, 1])
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
-    return inter / np.maximum(area + cols[:, 4] - inter, 5e-324)
+    union = area + cols[:, 4] - inter
+    huge = union == math.inf
+    if huge.any():
+        inter = np.where(huge, inter / 2.0, inter)
+        union = np.where(huge, area / 2.0 + cols[:, 4] / 2.0 - inter, union)
+    return inter / np.maximum(union, 5e-324)
 
 
 def _iou_lists(rows: Sequence[Box], cols: Sequence[Box]) -> list[list[float]]:

@@ -230,9 +230,13 @@ def match(
     Detections are visited by descending score (ties by input order); each
     takes the highest-IOU still-unmatched ground truth of the class provided
     the IOU reaches iou_threshold (IOU ties toward the lower truth index).
-    Raises UnknownImageError for an unregistered image id.
+    Every detection is checked as the other views check it, whatever its
+    image or class.  Raises UnknownImageError for an unregistered image id,
+    and ValueError for an undeclared class_id.
     """
-    _check_threshold(iou_threshold)
+    _check_inputs(detections, ground_truths, (iou_threshold,))
+    if class_id not in ground_truths.categories:
+        raise ValueError(f"unknown category {class_id}")
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
     cands = [d for d in detections.for_image(image_id) if d.class_id == class_id]
     cands = [cands[i] for i in _visit_order(cands)]

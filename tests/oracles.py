@@ -116,7 +116,11 @@ def corner_iou(a: Corners, b: Corners) -> float:
     inter = iw * ih
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+    union = area_a + area_b - inter
+    if union == math.inf:  # halving every term is exact at this size, and the halved sum cannot overflow
+        inter /= 2.0
+        union = area_a / 2.0 + area_b / 2.0 - inter
+    return inter / union
 
 
 def compensated_sum(values, start=0):

@@ -353,6 +353,17 @@ class TestNms:
         code, _, _ = run_cli(["nms", "--gt", gt, "--dets", dets, "--iou", "2.0"])
         assert code == EXIT_SEMANTIC_ERROR
 
+    @pytest.mark.parametrize("command", ["nms", "eval"])
+    def test_bad_threshold_is_semantic_error_without_images(self, tmp_path, command):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"images": [], "categories": [{"id": 1, "name": "thing"}], "annotations": []}),
+                      encoding="utf-8")
+        dets = tmp_path / "dets.json"
+        dets.write_text("[]", encoding="utf-8")
+        code, out, err = run_cli([command, "--gt", str(gt), "--dets", str(dets), "--iou", "7"])
+        assert (code, out) == (EXIT_SEMANTIC_ERROR, "")
+        assert err == "detkit: iou_threshold must lie in [0, 1], got 7.0\n"
+
 
 class TestPlotdata:
     def test_reemits_rows_byte_identically(self):

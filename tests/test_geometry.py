@@ -235,6 +235,11 @@ class TestNms:
         with pytest.raises(ValueError):
             nms([], iou_threshold=threshold)
 
+    def test_suppresses_a_duplicate_whose_union_overflows(self):
+        big = Box(0.0, 0.0, 1e154, 1e154)
+        dets = [ScoredBox(box=big, score=0.9, class_id=0), ScoredBox(box=big, score=0.8, class_id=0)]
+        assert nms(dets, iou_threshold=0.45) == dets[:1]
+
     @given(st.lists(scored_boxes, max_size=12), st.floats(0.0, 1.0))
     @settings(max_examples=60)
     def test_survivors_pairwise_separated(self, dets, threshold):
@@ -338,10 +343,20 @@ class TestOverlapsMatchScalarIou:
         thin = Box.from_corner_size(100, 0, 1e-14, 10)
         assert geometry._iou_lists([thin], [thin]) == [[0.0]]
 
-    def test_overflowing_union_reads_zero_as_in_iou(self):
+    def test_overflowing_union_halves_every_term(self):
         big = Box(0.0, 0.0, 1e154, 1e154)
-        assert iou(big, big) == 0.0
-        assert geometry._iou_lists([big], [big]) == [[0.0]]
+        assert iou(big, big) == 1.0
+        assert geometry._iou_lists([big], [big]) == [[1.0]]
+
+    @given(_boxes_at_scale(154), st.integers(1, 700))
+    @example([Box(0.0, 0.0, 1e154, 1e154), Box(2.5e153, 0.0, 1e154, 1e154)], 600)
+    def test_overflowing_union_is_scale_free(self, scaled, shift):
+        # Scaling every field by a power of two scales each step exactly, so only a union
+        # that overflows could tell a box pair from its scaled-down copy.
+        def down(b):
+            return Box(*(math.ldexp(v, -shift) for v in (b.center_x, b.center_y, b.width, b.height)))
+        for a, b in zip(scaled, scaled[1:] + scaled[:1]):
+            assert iou(a, b).hex() == iou(down(a), down(b)).hex()
 
     def test_empty_sides(self):
         one = [Box(0.0, 0.0, 1.0, 1.0)]
@@ -391,6 +406,12 @@ class TestNmsMatchesScalarOracle:
     @settings(max_examples=60)
     def test_wide_ranging_boxes(self, dets, threshold):
         self.assert_same_kept(dets, threshold)
+
+    @given(_boxes_at_scale(154), thresholds)
+    @settings(max_examples=60)
+    def test_extreme_scales(self, scaled, threshold):
+        # At 10**154 two corner areas overflow a sum, which both sides halve.
+        self.assert_same_kept([ScoredBox(box, 0.5, 0) for box in scaled], threshold)
 
     @given(st.lists(st.builds(ScoredBox, box=thin_boxes | wide_boxes, score=st.sampled_from([0.5, 1.0]),
                               class_id=st.integers(0, 1)), max_size=30), thresholds)

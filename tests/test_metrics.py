@@ -121,6 +121,23 @@ class TestMatch:
         with pytest.raises(UnknownImageError):
             match(_dets([]), truths, 0.5, 1, image_id=99)
 
+    def test_undeclared_class_id_rejected(self):
+        dets, truths = _simple_pair()
+        with pytest.raises(ValueError, match=r"^unknown category 7$"):
+            match(dets, truths, 0.5, class_id=7, image_id=1)
+
+    def test_every_detection_checked_after_the_threshold(self):
+        # Neither stray detection is in the (image 1, class 1) group asked about.
+        truths = _truths([(1, 1, (0, 0, 10, 10))])
+        stray_class = _dets([(1, 1, 0.9, (0, 0, 10, 10)), (1, 7, 0.95, (20, 20, 30, 30))])
+        stray_image = _dets([(1, 1, 0.9, (0, 0, 10, 10)), (2, 1, 0.95, (20, 20, 30, 30))])
+        with pytest.raises(ValueError, match=r"^detection references unknown category 7$"):
+            match(stray_class, truths, 0.5, class_id=1, image_id=1)
+        with pytest.raises(UnknownImageError):
+            match(stray_image, truths, 0.5, class_id=1, image_id=1)
+        with pytest.raises(ValueError, match=r"^iou_threshold must lie in \[0, 1\], got 1.5$"):
+            match(stray_image, truths, 1.5, class_id=1, image_id=1)
+
     def test_injective_both_ways(self):
         for seed in range(25):
             scenario = oracles.random_scenario(seed)
@@ -146,6 +163,16 @@ class TestPRCurve:
         dets, truths = _simple_pair()
         with pytest.raises(NoGroundTruthError):
             pr_curve(dets, truths, 0.5, class_id=7)
+
+    def test_score_ties_across_images_break_by_file_order(self):
+        # A hit on image 2 and a miss on image 1 tie at 0.9; ranking by image id, as the
+        # reference evaluator does, would put the miss first and halve the AP.
+        truths = _truths([(1, 1, (0, 0, 10, 10)), (2, 1, (0, 0, 10, 10))])
+        hit, miss = (2, 1, 0.9, (0, 0, 10, 10)), (1, 1, 0.9, (50, 50, 60, 60))
+        assert pr_curve(_dets([hit, miss]), truths, 0.5, 1).points == ((0.5, 1.0), (0.5, 0.5))
+        assert per_class_ap(_dets([hit, miss]), truths) == {1: 0.5}
+        assert pr_curve(_dets([miss, hit]), truths, 0.5, 1).points == ((0.0, 0.0), (0.5, 0.5))
+        assert per_class_ap(_dets([miss, hit]), truths) == {1: 0.25}
 
     def test_unknown_image_detected(self):
         _, truths = _simple_pair()

@@ -1,0 +1,116 @@
+"""The two order rules every output rests on, each stated once in geometry.
+
+_visit_order is the one visit order of every ranking and greedy pass: by
+descending score, ties in input order.  _sum_in_order is the one sum behind
+every mean and loss: left to right, as sum() added floats before Python 3.12
+compensated it.  The guard below reads the package source, so a second copy
+of either rule cannot come back unnoticed.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from types import SimpleNamespace
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import detkit
+import oracles
+from conftest import finite_floats
+from detkit.geometry import _sum_in_order, _visit_order
+
+SOURCES = sorted(Path(detkit.__file__).parent.glob("*.py"))
+
+# The one place a sort may read a score: (module, enclosing function).
+VISIT_ORDER_SITE = ("geometry", "_visit_order")
+
+SORTS = ("sorted", "sort", "argsort", "lexsort")
+
+
+def _reads_score(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "score" for n in ast.walk(node))
+
+
+class _OrderRuleFinder(ast.NodeVisitor):
+    """Collects builtin sum() calls and sorts whose arguments or key read a .score, with their enclosing function."""
+
+    def __init__(self, module: str) -> None:
+        self.module = module
+        self.scope: list[str] = []
+        self.sums: list[tuple[str, int]] = []
+        self.score_sorts: list[tuple[str, str | None, int]] = []
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if isinstance(func, ast.Name) and name == "sum":
+            self.sums.append((self.module, node.lineno))
+        if name in SORTS and any(_reads_score(arg) for arg in [*node.args, *(kw.value for kw in node.keywords)]):
+            self.score_sorts.append((self.module, self.scope[-1] if self.scope else None, node.lineno))
+        self.generic_visit(node)
+
+
+def _find(source: str, module: str) -> _OrderRuleFinder:
+    finder = _OrderRuleFinder(module)
+    finder.visit(ast.parse(source))
+    return finder
+
+
+class TestOneCopyOfEachRule:
+    def test_no_builtin_sum_in_the_package(self):
+        found = [hit for path in SOURCES for hit in _find(path.read_text(encoding="utf-8"), path.stem).sums]
+        assert found == []
+
+    def test_only_the_visit_order_sorts_by_score(self):
+        found = [hit for path in SOURCES for hit in _find(path.read_text(encoding="utf-8"), path.stem).score_sorts]
+        assert [(module, scope) for module, scope, _ in found] == [VISIT_ORDER_SITE]
+
+    def test_the_guard_sees_both_kinds_of_copy(self):
+        # The two score sorts and the hand sum the rules replaced, as they would read if put back.
+        finder = _find(
+            "def _sweep_order(detections):\n"
+            "    return sorted(detections, key=lambda d: (-d.score, d.index))\n"
+            "def nms(detections):\n"
+            "    return sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))\n"
+            "def _mean(values):\n"
+            "    return sum(values) / len(values)\n",
+            "metrics",
+        )
+        assert finder.score_sorts == [("metrics", "_sweep_order", 2), ("metrics", "nms", 4)]
+        assert finder.sums == [("metrics", 6)]
+
+
+# Scores that compare equal in several spellings (0, 0.0 and -0.0; 1 and 1.0), subnormals, and any in [0, 1].
+tied_scores = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5]) | st.floats(0.0, 1.0)
+
+
+class TestVisitOrder:
+    @given(st.lists(tied_scores, max_size=80))
+    @example([0.5] * 40 + [0, -0.0, 0.0, 1, 1.0] * 8)
+    def test_is_descending_score_then_input_position(self, scores):
+        items = [SimpleNamespace(score=s) for s in scores]
+        assert _visit_order(items) == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+class TestSumInOrder:
+    @given(st.lists(finite_floats(-1e300, 1e300), max_size=60))
+    def test_is_the_left_to_right_loop(self, values):
+        total = 0.0
+        for value in values:
+            total += value
+        assert _sum_in_order(values).hex() == total.hex()
+        assert _sum_in_order(iter(values)).hex() == total.hex()
+
+    def test_is_not_the_compensated_sum(self):
+        values = [0.1] * 10
+        assert _sum_in_order(values) == 0.9999999999999999
+        assert oracles.compensated_sum(values) == 1.0
