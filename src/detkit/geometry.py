@@ -199,8 +199,8 @@ def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     inter_h = np.minimum(bottom, cols[:, 3]) - np.maximum(top, cols[:, 1])
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
     union = area + cols[:, 4] - inter
-    huge = union == math.inf
-    if huge.any():
+    if not union.max(initial=0.0) < math.inf:  # a NaN entry makes the maximum NaN, so no overflow is missed
+        huge = union == math.inf
         inter = np.where(huge, inter / 2.0, inter)
         union = np.where(huge, area / 2.0 + cols[:, 4] / 2.0 - inter, union)
     return inter / np.maximum(union, 5e-324)

@@ -293,7 +293,8 @@ class _Evaluation:
         # every truth, image by image in input order
         self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
         self.counts = Counter(gt.class_id for gt in self.truths)
-        self.order = [detections.detections[i] for i in _visit_order(detections.detections)]
+        given = detections.detections
+        self.order = [given[i] for i in _visit_order(given)]
         self.by_class: dict[int, list[Detection]] = {}
         self.by_image: dict[int, list[Detection]] = {}
         by_group: dict[tuple[int, int], list[Detection]] = {}
