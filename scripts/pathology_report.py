@@ -17,16 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from detkit import evaluate, pathology_fixture
-
-FIELDS = (
-    "voc50", "ap", "ap50", "ap75",
-    "ap_small", "ap_medium", "ap_large",
-    "global_ap", "per_image_ap",
-)
-
-
-def fmt(value: float | None) -> str:
-    return "NA" if value is None else f"{value:.6f}"
+from detkit.cli import _METRIC_FIELDS, _report_document, _side_by_side
 
 
 def main() -> int:
@@ -35,29 +26,17 @@ def main() -> int:
     args = parser.parse_args()
 
     truths, dets_a, dets_b = pathology_fixture()
-    reports = {"detector_a": evaluate(dets_a, truths), "detector_b": evaluate(dets_b, truths)}
+    a, b = evaluate(dets_a, truths), evaluate(dets_b, truths)
 
     if args.format == "json":
-        doc = {
-            name: {
-                **{field: getattr(report, field) for field in FIELDS},
-                "per_class_ap": {str(c): ap for c, ap in sorted(report.per_class_ap.items())},
-            }
-            for name, report in reports.items()
-        }
+        doc = {"detector_a": _report_document(a, "all"), "detector_b": _report_document(b, "all")}
         print(json.dumps(doc, indent=2))
         return 0
 
-    print("metric\tdetector_a\tdetector_b")
-    for field in FIELDS:
-        a = fmt(getattr(reports["detector_a"], field))
-        b = fmt(getattr(reports["detector_b"], field))
-        print(f"{field}\t{a}\t{b}")
-    names = dict(truths.categories)
-    for c in sorted(truths.classes_with_truth()):
-        a = fmt(reports["detector_a"].per_class_ap[c])
-        b = fmt(reports["detector_b"].per_class_ap[c])
-        print(f"ap50[{names[c]}]\t{a}\t{b}")
+    rows = [(field, getattr(a, field), getattr(b, field)) for field in _METRIC_FIELDS["all"]]
+    for c in truths.classes_with_truth():
+        rows.append((f"ap50[{truths.categories[c]}]", a.per_class_ap[c], b.per_class_ap[c]))
+    print(_side_by_side(rows))
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _positive_count
+from .geometry import _non_negative_count, _positive_count
 from .yolo import AnchorPrior
 
 
@@ -178,13 +178,15 @@ def kmeans_anchors(
     reported objective history is therefore strictly non-increasing.
 
     samples is a DimensionSamples, or any sequence of DimensionSample, which
-    is turned into one first.  Deterministic for a fixed seed.  Raises
-    InsufficientSamplesError when k exceeds the number of distinct samples.
+    is turned into one first.  Deterministic for a fixed seed, which must be a
+    non-negative whole number.  Raises InsufficientSamplesError when k exceeds
+    the number of distinct samples.
     """
     if distance not in ("iou", "euclidean"):
         raise ValueError(f"distance must be 'iou' or 'euclidean', got {distance!r}")
     k = _positive_count("k", k)
     max_iters = _positive_count("max_iters", max_iters)
+    seed = _non_negative_count("seed", seed)
     if not isinstance(samples, DimensionSamples):
         samples = DimensionSamples(np.array([(s.width, s.height) for s in samples], dtype=np.float64).reshape(-1, 2))
     dims = samples.sizes

@@ -11,21 +11,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .anchors import InsufficientSamplesError, NotDivisibleError, kmeans_anchors, split_scales
 from .dataio import (
     ParseError,
     ValidationError,
+    _load_json,
+    _record_as_read,
+    _results_set,
     demo_map_pathology,
-    dump_results,
     load_dataset,
     load_dimension_samples,
     load_results,
     load_speed_table,
 )
 from .geometry import _check_threshold, nms
-from .metrics import DetectionResultSet, MetricReport, evaluate
+from .metrics import MetricReport, evaluate
 from .yolo import GridSpec, OutOfBoundsError, tensor_index
 
 EXIT_OK = 0
@@ -59,19 +61,30 @@ def _report_fields(report: MetricReport, metric: str) -> list[tuple[str, float |
     return [(name, getattr(report, name)) for name in _METRIC_FIELDS[metric]]
 
 
+def _report_document(report: MetricReport, metric: str) -> dict:
+    """The object `detkit eval --format json` prints: metric's fields, then per_class_ap for voc50 and all."""
+    doc: dict = dict(_report_fields(report, metric))
+    if metric in ("voc50", "all"):
+        doc["per_class_ap"] = {str(c): report.per_class_ap[c] for c in sorted(report.per_class_ap)}
+    return doc
+
+
+def _side_by_side(rows: Iterable[tuple[str, float | None, float | None]]) -> str:
+    """The two-detector table: a header, then one (label, detector_a, detector_b) line per row."""
+    lines = [f"{label}\t{_format_value(a)}\t{_format_value(b)}" for label, a, b in rows]
+    return "\n".join(["metric\tdetector_a\tdetector_b", *lines])
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     truths = load_dataset(args.gt)
     detections = load_results(args.dets, truths)
     report = evaluate(detections, truths, iou_threshold=args.iou, shards=args.shards)
-    fields = _report_fields(report, args.metric)
     if args.format == "tsv":
+        fields = _report_fields(report, args.metric)
         print("\t".join(name for name, _ in fields))
         print("\t".join(_format_value(value) for _, value in fields))
     else:
-        doc: dict = {name: value for name, value in fields}
-        if args.metric in ("voc50", "all"):
-            doc["per_class_ap"] = {str(c): report.per_class_ap[c] for c in sorted(report.per_class_ap)}
-        print(json.dumps(doc))
+        print(json.dumps(_report_document(report, args.metric)))
     return EXIT_OK
 
 
@@ -114,13 +127,17 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 def _cmd_nms(args: argparse.Namespace) -> int:
     truths = load_dataset(args.gt)  # supplies the image registry only
-    detections = load_results(args.dets, truths)
+    records = _load_json(args.dets)
+    detections = _results_set(args.dets, records, truths)
     _check_threshold(args.iou)  # here too, for a dataset without images, where nms never runs
     survivors = []
     for image_id in truths.image_ids:
-        kept = nms([d.scored for d in detections.for_image(image_id)], args.iou)
-        survivors.extend((image_id, scored) for scored in kept)
-    print(dump_results(DetectionResultSet(survivors)))
+        dets = detections.for_image(image_id)
+        position = {id(d.scored): d.index for d in dets}
+        kept = nms([d.scored for d in dets], args.iou)
+        # each survivor is written from its own record: a box's corners rebuilt from its center can drift
+        survivors.extend(_record_as_read(records[position[id(scored)]]) for scored in kept)
+    print(json.dumps(survivors))
     return EXIT_OK
 
 
@@ -138,12 +155,8 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     reports = demo_map_pathology()
-    rows = [("voc50", "voc50"), ("global_ap", "global_ap"), ("per_image_ap", "per_image_ap")]
-    print("metric\tdetector_a\tdetector_b")
-    for label, attr in rows:
-        a = _format_value(getattr(reports.detector_a, attr))
-        b = _format_value(getattr(reports.detector_b, attr))
-        print(f"{label}\t{a}\t{b}")
+    a, b = reports.detector_a, reports.detector_b
+    print(_side_by_side((name, getattr(a, name), getattr(b, name)) for name in ("voc50", "global_ap", "per_image_ap")))
     print(
         "both detectors tie on the per-class mean at IOU 0.5, but detector_b's spurious "
         "boxes outrank another class's true detections, so the pooled and per-image APs drop"

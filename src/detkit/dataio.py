@@ -214,7 +214,11 @@ def load_results(path: str | Path, ground_truths: GroundTruthSet) -> DetectionRe
 
     Records keep file order, which fixes tie-breaking between equal scores.
     """
-    doc = _load_json(path)
+    return _results_set(path, _load_json(path), ground_truths)
+
+
+def _results_set(path: str | Path, doc, ground_truths: GroundTruthSet) -> DetectionResultSet:
+    """load_results of the document already parsed from path; detection i comes from doc[i]."""
     if not isinstance(doc, list):
         raise ParseError(f"{path}: top level must be a list of result records")
     rows: list[tuple[int, ScoredBox]] = []
@@ -244,6 +248,16 @@ def results_document(detections: Iterable[Detection] | DetectionResultSet) -> li
             }
         )
     return doc
+
+
+def _record_as_read(entry: dict) -> dict:
+    """A results record that _results_set accepted, holding only what it read: ids, then bbox and score as floats."""
+    return {
+        "image_id": entry["image_id"],
+        "category_id": entry["category_id"],
+        "bbox": [float(v) for v in entry["bbox"]],
+        "score": float(entry["score"]),
+    }
 
 
 def dump_results(detections: Iterable[Detection] | DetectionResultSet) -> str:

@@ -34,6 +34,13 @@ def _positive_count(name: str, value: float) -> int:
     return int(value)
 
 
+def _non_negative_count(name: str, value) -> int:
+    """value as an int; ValueError unless it is a non-negative whole number."""
+    if not (isinstance(value, numbers.Real) and value >= 0 and _is_whole(value)):
+        raise ValueError(f"{name} must be a non-negative whole number, got {value!r}")
+    return int(value)
+
+
 # The types a number field is stored as given in; float first, as it is the most common.
 _PLAIN_NUMBERS = (float, int)
 
@@ -142,8 +149,9 @@ def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when they are disjoint.
 
     Areas are taken from the same corner values used for the intersection so
-    that iou(b, b) == 1.0 exactly and the result never exceeds 1.  A union
-    that overflows, as for Box(0, 0, 1e154, 1e154) with itself, is taken by
+    that iou(b, b) == 1.0 exactly and the result never exceeds 1.  Where the
+    union overflows, as for Box(0, 0, 1e154, 1e154) with itself, the
+    intersection and both areas are halved first, by the float operations of
     _overlaps' rule for it.
     """
     a_left, a_top, a_right, a_bottom = a.corners()
@@ -157,7 +165,8 @@ def iou(a: Box, b: Box) -> float:
     area_b = (b_right - b_left) * (b_bottom - b_top)
     union = area_a + area_b - inter
     if union == math.inf:
-        return _iou_lists([a], [b])[0][0]
+        inter /= 2.0
+        union = area_a / 2.0 + area_b / 2.0 - inter
     return inter / union
 
 

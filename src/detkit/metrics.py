@@ -250,10 +250,23 @@ def match(
 
 @dataclass(frozen=True)
 class PRCurve:
-    """Cumulative (recall, precision) points from a score-ordered sweep."""
+    """Cumulative (recall, precision) points from a score-ordered sweep.
+
+    Raises ValueError, naming the point, for a recall or precision outside
+    [0, 1] or NaN, and for a recall below the one before it.
+    """
 
     points: tuple[tuple[float, float], ...]
     num_gt: int
+
+    def __post_init__(self) -> None:
+        before = 0.0
+        for i, (recall, precision) in enumerate(self.points):
+            if not (0.0 <= recall <= 1.0 and 0.0 <= precision <= 1.0):
+                raise ValueError(f"point {i} {(recall, precision)!r}: recall and precision must lie in [0, 1]")
+            if recall < before:
+                raise ValueError(f"point {i} {(recall, precision)!r}: recall falls below the {before!r} before it")
+            before = recall
 
     @property
     def ap(self) -> float:

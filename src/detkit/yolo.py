@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Sequence
 
-from .geometry import Box, _greedy, _iou_lists, _is_whole, _sum_in_order
+from .geometry import Box, _greedy, _iou_lists, _is_whole, _non_negative_count, _sum_in_order
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -321,6 +321,15 @@ def prior_loss(
     return total
 
 
+def _truth_count(ious: Sequence[Sequence[float]], num_ground_truths: int) -> int:
+    """num_ground_truths as an int; ValueError unless it is a non-negative whole number, the length of every row."""
+    count = _non_negative_count("num_ground_truths", num_ground_truths)
+    for i, row in enumerate(ious):
+        if len(row) != count:
+            raise ValueError(f"prior {i} has {len(row)} IOUs, but num_ground_truths is {count}")
+    return count
+
+
 def assign_yolo_from_ious(
     ious: Sequence[Sequence[float]], num_ground_truths: int, ignore_threshold: float = 0.5
 ) -> list[AssignmentLabel]:
@@ -334,13 +343,15 @@ def assign_yolo_from_ious(
     positive even when it also overlaps another truth above the threshold.
 
     Ground truths can outnumber priors only in degenerate inputs; the ones
-    left after every prior is claimed receive no positive prior.
+    left after every prior is claimed receive no positive prior.  Raises
+    ValueError unless num_ground_truths is the length of every row.
     """
     if not (0.0 <= ignore_threshold <= 1.0):
         raise ValueError(f"ignore_threshold must lie in [0, 1], got {ignore_threshold!r}")
     num_priors = len(ious)
     if num_priors == 0:
         raise ValueError("at least one prior is required")
+    num_ground_truths = _truth_count(ious, num_ground_truths)
     # The matching rule with truths as rows: at threshold -inf a truth claims
     # its best free prior of IOU above -1.  A truth that claims nothing ends
     # the claims, so later truths get no prior either.
@@ -386,6 +397,7 @@ def assign_dual_threshold_from_ious(
     makes it positive for the argmax truth (ties toward the lower truth index),
     neg_threshold <= m < pos_threshold leaves it ignored, and m < neg_threshold
     makes it negative.  Several priors may be positive for the same truth.
+    Raises ValueError unless num_ground_truths is the length of every row.
     """
     if not (0.0 <= neg_threshold <= pos_threshold <= 1.0):
         raise ValueError(
@@ -394,6 +406,7 @@ def assign_dual_threshold_from_ious(
     num_priors = len(ious)
     if num_priors == 0:
         raise ValueError("at least one prior is required")
+    num_ground_truths = _truth_count(ious, num_ground_truths)
     if num_ground_truths == 0:
         return [NEGATIVE] * num_priors
     labels: list[AssignmentLabel] = []

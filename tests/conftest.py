@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import builtins
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import strategies as st
 
+import oracles
 from detkit.cli import main
 from detkit.geometry import Box, ScoredBox
 
@@ -66,3 +68,25 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse exits instead of returning
             code = exc.code if isinstance(exc.code, int) else 0
     return code, out.getvalue(), err.getvalue()
+
+
+def left_to_right_sum(values, start=0):
+    """sum() as Python added floats before 3.12: left to right, uncompensated."""
+    total = start
+    for value in values:
+        total = total + value
+    return total
+
+
+def under_both_sums(monkeypatch, compute):
+    """compute() with builtins.sum adding left to right, then with it compensated as from Python 3.12.
+
+    An output that reads the builtin sum anywhere differs between the two on
+    enough inputs, whatever the interpreter's own sum does.
+    """
+    results = []
+    for stand_in in (left_to_right_sum, oracles.compensated_sum):
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", stand_in)
+            results.append(compute())
+    return results

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,17 @@ class TestCountArguments:
     def test_whole_valued_floats_count_as_ints(self):
         assert kmeans_anchors(self.samples, 2.0, max_iters=3.0) == kmeans_anchors(self.samples, 2, max_iters=3)
         assert split_scales(self.priors, 3.0) == split_scales(self.priors, 3)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3", math.nan, math.inf])
+    def test_seed_must_be_a_non_negative_whole_number(self, seed):
+        # checked before drawing: numpy would raise its own errors, and None would draw fresh entropy
+        message = rf"^seed must be a non-negative whole number, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            kmeans_anchors(self.samples, 2, seed=seed)
+
+    def test_whole_valued_seed_is_stored_as_int(self):
+        assert kmeans_anchors(self.samples, 2, seed=7.0) == kmeans_anchors(self.samples, 2, seed=7)
+        assert kmeans_anchors(self.samples, 2, seed=np.int64(7)) == kmeans_anchors(self.samples, 2, seed=7)
 
 
 class TestSplitScales:

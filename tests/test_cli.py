@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -222,6 +223,11 @@ class TestAnchors:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 5  # 3 rows + 2 separators
 
+    def test_negative_seed_is_named(self):
+        code, out, err = run_cli(["anchors", "--boxes", ANCHOR_BOXES, "--k", "3", "--scales", "1", "--seed", "-1"])
+        assert (code, out) == (EXIT_SEMANTIC_ERROR, "")
+        assert err == "detkit: seed must be a non-negative whole number, got -1\n"
+
     def test_indivisible_k_is_semantic_error(self):
         code, _, err = run_cli(["anchors", "--boxes", ANCHOR_BOXES, "--k", "7", "--scales", "3"])
         assert code == EXIT_SEMANTIC_ERROR
@@ -347,6 +353,42 @@ class TestNms:
         _, out, _ = run_cli(["nms", "--gt", gt, "--dets", dets])
         for record in json.loads(out):
             assert set(record) == {"image_id", "category_id", "bbox", "score"}
+
+    def test_survivors_keep_the_files_numbers(self, tmp_path):
+        # 540.43 + 227.63 / 2 - 227.63 / 2 is 540.4299999999998: no survivor goes through its center
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"images": [{"id": 1, "width": 800, "height": 600}],
+                                  "categories": [{"id": 1, "name": "thing"}], "annotations": []}), encoding="utf-8")
+        dets = tmp_path / "dets.json"
+        dets.write_text('[{"image_id": 1, "category_id": 1, "bbox": [540.43, 10.0, 227.63, 50.5], "score": 0.9}]',
+                        encoding="utf-8")
+        code, out, err = run_cli(["nms", "--gt", str(gt), "--dets", str(dets)])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == '[{"image_id": 1, "category_id": 1, "bbox": [540.43, 10.0, 227.63, 50.5], "score": 0.9}]\n'
+
+    def test_survivors_are_their_records_as_read(self, tmp_path):
+        # ints become floats as the loader reads them, keys the loader does not read are dropped
+        rng = random.Random(0)
+        records = []
+        for i in range(300):
+            bbox = [round(rng.uniform(0, 640), 2), round(rng.uniform(0, 480), 2),
+                    round(rng.uniform(1, 300), 2), round(rng.uniform(1, 300), 2)]
+            records.append({"score": rng.choice([0.5, 1, rng.random()]), "bbox": bbox if i % 7 else [3, 4, 5, 6],
+                            "category_id": rng.randint(1, 2), "image_id": rng.randint(1, 3), "id": i})
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"images": [{"id": i, "width": 800, "height": 600} for i in (1, 2, 3)],
+                                  "categories": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}],
+                                  "annotations": []}), encoding="utf-8")
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps(records), encoding="utf-8")
+        code, out, _ = run_cli(["nms", "--gt", str(gt), "--dets", str(dets), "--iou", "0.3"])
+        assert code == EXIT_OK
+        kept = json.loads(out)
+        read = [{"image_id": r["image_id"], "category_id": r["category_id"],
+                 "bbox": [float(v) for v in r["bbox"]], "score": float(r["score"])} for r in records]
+        assert 0 < len(kept) < len(records)
+        assert all(record in read for record in kept)
+        assert all(type(v) is float for record in kept for v in [*record["bbox"], record["score"]])
 
     def test_bad_threshold_is_semantic_error(self, chain_files):
         gt, dets = chain_files

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import assert_boxes_close, boxes, canvas_boxes, finite_floats, scored_boxes
 from detkit import Box, DetectionResultSet, ScoredBox, dump_results, geometry, iou, nms
 from detkit.geometry import _NMS_BLOCK
-from oracles import oracle_nms
+from oracles import corner_iou, oracle_nms
 
 
 class TestBox:
@@ -347,6 +347,16 @@ class TestOverlapsMatchScalarIou:
         big = Box(0.0, 0.0, 1e154, 1e154)
         assert iou(big, big) == 1.0
         assert geometry._iou_lists([big], [big]) == [[1.0]]
+
+    def test_scalar_iou_builds_no_matrix(self, monkeypatch):
+        # iou applies the overflow rule itself, so the differential tests above compare two computations
+        def refuse(*args):
+            raise AssertionError("iou built an IOU matrix")
+
+        monkeypatch.setattr(geometry, "_overlaps", refuse)
+        big, shifted = Box(0.0, 0.0, 1e154, 1e154), Box(2.5e153, 0.0, 1e154, 1e154)
+        assert iou(big, big) == 1.0
+        assert iou(big, shifted).hex() == corner_iou(big.corners(), shifted.corners()).hex()
 
     @given(_boxes_at_scale(154), st.integers(1, 700))
     @example([Box(0.0, 0.0, 1e154, 1e154), Box(2.5e153, 0.0, 1e154, 1e154)], 600)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import under_both_sums
 from detkit import (
     AREA_BANDS,
     COCO_IOU_THRESHOLDS,
@@ -153,6 +154,27 @@ class TestMatch:
 
 
 class TestPRCurve:
+    def test_every_sweep_constructs(self):
+        for seed in range(200):
+            scenario = oracles.random_scenario(seed)
+            dets, truths = oracles.to_library(scenario)
+            for cls in oracles.oracle_classes_with_truth(scenario):
+                for threshold in (0.0, 0.5, 0.95):
+                    curve = pr_curve(dets, truths, threshold, cls)
+                    assert PRCurve(curve.points, curve.num_gt) == curve
+
+    @pytest.mark.parametrize("points, message", [
+        # recall falls: scored 0.71 continuous and 0.4752 101-point, where the oracle gives 0.62 and 0.6238
+        (((0.5, 1.0), (0.2, 0.5), (0.9, 0.3)), r"^point 1 \(0\.2, 0\.5\): recall falls below the 0\.5 before it$"),
+        (((0.5, -1.0),), r"^point 0 \(0\.5, -1\.0\): recall and precision must lie in \[0, 1\]$"),  # scored -0.5
+        (((math.nan, 1.0),), r"^point 0 \(nan, 1\.0\): recall and precision must lie in \[0, 1\]$"),  # 1.0 by 101-point
+        (((0.5, 1.0), (1.5, 0.5)), r"^point 1 \(1\.5, 0\.5\): "),
+        (((0.5, 1.0), (1.0, math.nan)), r"^point 1 \(1\.0, nan\): "),
+    ], ids=["recall-falls", "negative-precision", "nan-recall", "recall-above-one", "nan-precision"])
+    def test_malformed_points_raise(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            PRCurve(points, 3)
+
     def test_sweep_points(self):
         dets, truths = _simple_pair()
         curve = pr_curve(dets, truths, 0.5, class_id=1)
@@ -327,7 +349,7 @@ PINNED_SWEEPS = [
     ([True, True, False, True, False, False, True] * 3, 25),
     ([True, False] * 30, 50),
     ([True, False, False] * 20, 100),
-    ([True, False, True, False, False, True] * 5, 11),
+    ([True, False, True, False, False, True] * 3 + [True, False, True], 11),
 ]
 
 
@@ -741,9 +763,8 @@ class TestSameOnEveryPython:
 
     def test_reports_are_the_same_under_a_compensated_sum(self, monkeypatch):
         inputs = [oracles.to_library(oracles.random_scenario(seed)) for seed in range(100)]
-        want = [repr(evaluate(dets, truths)) for dets, truths in inputs]
-        monkeypatch.setattr(metrics, "sum", oracles.compensated_sum, raising=False)
-        assert [repr(evaluate(dets, truths)) for dets, truths in inputs] == want
+        plain, compensated = under_both_sums(monkeypatch, lambda: [repr(evaluate(d, t)) for d, t in inputs])
+        assert compensated == plain
 
 
 class TestPathology:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import under_both_sums
 from detkit import (
     IGNORED,
     NEGATIVE,
@@ -37,7 +38,6 @@ from detkit import (
     sigmoid,
     tensor_index,
     tensor_unindex,
-    yolo,
 )
 
 LN2 = math.log(2.0)
@@ -358,6 +358,27 @@ def test_geometric_wrappers_require_a_prior(assign):
         assign([], [truth])
 
 
+@pytest.mark.parametrize("assign", [assign_yolo_from_ious, assign_dual_threshold_from_ious])
+@pytest.mark.parametrize("count, message", [
+    (1, r"^prior 0 has 2 IOUs, but num_ground_truths is 1$"),  # truth 1 was silently ignored
+    (3, r"^prior 0 has 2 IOUs, but num_ground_truths is 3$"),  # a bare IndexError
+    # -1 labelled every prior negative, or took max() of nothing
+    (-1, r"^num_ground_truths must be a non-negative whole number, got -1$"),
+    (1.5, r"^num_ground_truths must be a non-negative whole number, got 1\.5$"),
+    (None, r"^num_ground_truths must be a non-negative whole number, got None$"),
+], ids=["too-few", "too-many", "negative", "fractional", "none"])
+def test_truth_count_must_be_every_rows_length(assign, count, message):
+    with pytest.raises(ValueError, match=message):
+        assign([[0.6, 0.2], [0.1, 0.7]], count)
+
+
+@pytest.mark.parametrize("assign", [assign_yolo_from_ious, assign_dual_threshold_from_ious])
+def test_truth_count_is_checked_on_every_row(assign):
+    with pytest.raises(ValueError, match=r"^prior 1 has 1 IOUs, but num_ground_truths is 2$"):
+        assign([[0.6, 0.2], [0.1]], 2)
+    assert assign([[0.6, 0.2], [0.1, 0.7]], 2.0) == assign([[0.6, 0.2], [0.1, 0.7]], 2)
+
+
 # IOU matrix entries: ties, NaN, the infinities and values of -1 or less come up often
 iou_entries = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -2.0, -1.0, 0.0, 0.3, 0.5, 0.7, 1.0]),
@@ -367,13 +388,13 @@ iou_entries = st.one_of(
 
 @st.composite
 def iou_matrices(draw):
-    """(ious, num_ground_truths): 1-6 priors, rows of one width 0-6, and at most that many truths.
+    """(ious, num_ground_truths): 1-6 priors, rows of one width 0-6, and that many truths.
 
-    So truths may outnumber priors, there may be none, and rows may be longer than the truth count.
+    So truths may outnumber priors, and there may be none.
     """
     width = draw(st.integers(0, 6))
     ious = draw(st.lists(st.lists(iou_entries, min_size=width, max_size=width), min_size=1, max_size=6))
-    return ious, draw(st.integers(0, width))
+    return ious, width
 
 
 class TestAssignmentMatchesOracles:
@@ -461,10 +482,11 @@ class TestPriorLoss:
             )
             for _ in range(20)
         ]
-        want = [prior_loss(pred, AssignmentLabel.positive(0), coords, classes) for pred, coords, classes in cases]
-        monkeypatch.setattr(yolo, "sum", oracles.compensated_sum, raising=False)
-        got = [prior_loss(pred, AssignmentLabel.positive(0), coords, classes) for pred, coords, classes in cases]
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+        plain, compensated = under_both_sums(
+            monkeypatch,
+            lambda: [prior_loss(pred, AssignmentLabel.positive(0), coords, cls).hex() for pred, coords, cls in cases],
+        )
+        assert compensated == plain
 
 
 class TestValueRules:
