@@ -476,11 +476,11 @@ class TestPriorLoss:
         cases = [
             (
                 RawPrediction(*(rng.gauss(0.0, 1.0) for _ in range(4)), objectness=rng.gauss(0.0, 2.0),
-                              class_logits=tuple(rng.gauss(0.0, 3.0) for _ in range(80))),
+                              class_logits=tuple(rng.gauss(0.0, 3.0) for _ in range(classes))),
                 tuple(rng.gauss(0.0, 1.0) for _ in range(4)),
-                tuple(rng.randint(0, 1) for _ in range(80)),
+                tuple(rng.randint(0, 1) for _ in range(classes)),
             )
-            for _ in range(20)
+            for classes in [80] * 20 + [0] * 20  # without class terms the coordinate sum's last bit reaches the total
         ]
         plain, compensated = under_both_sums(
             monkeypatch,
