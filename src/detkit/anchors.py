@@ -106,10 +106,15 @@ def _distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.ndarray
     if mode == "euclidean":
         dw, dh = w - cw, h - ch
         return np.sqrt(dw * dw + dh * dh)
-    # Overlap of two boxes that share a center is min(w)*min(h).
-    inter = np.minimum(w, cw) * np.minimum(h, ch)
-    union = w * h + cw * ch - inter
-    return 1.0 - inter / union
+    # Overlap of two boxes that share a center is min(w)*min(h).  Each step
+    # writes into one of two (n, k) buffers rather than a fresh array.
+    inter = np.minimum(w, cw)
+    union = np.minimum(h, ch)
+    np.multiply(inter, union, out=inter)
+    np.add(w * h, cw * ch, out=union)
+    np.subtract(union, inter, out=union)
+    np.divide(inter, union, out=inter)
+    return np.subtract(1.0, inter, out=inter)
 
 
 def _plusplus_init(dims: np.ndarray, k: int, rng: np.random.Generator, mode: str) -> np.ndarray:

@@ -221,6 +221,63 @@ def _results_set(path: str | Path, doc, ground_truths: GroundTruthSet) -> Detect
     """load_results of the document already parsed from path; detection i comes from doc[i]."""
     if not isinstance(doc, list):
         raise ParseError(f"{path}: top level must be a list of result records")
+    # The record walk below is the definition of the format.  _result_columns
+    # proves over whole columns that no record fails it; whatever it refuses
+    # goes through the walk, which returns the same set or raises the
+    # ValidationError naming the record.
+    columns = _result_columns(doc, ground_truths)
+    if columns is None:
+        return _walk_results(doc, ground_truths)
+    return DetectionResultSet._from_columns(*columns)
+
+
+def _result_columns(doc: list, registry: GroundTruthSet):
+    """(image ids, category ids, scores, center-form boxes) of doc's records, or None unless every record passes the walk.
+
+    Types are compared exactly, so a bool, which json reads for true and
+    false, is refused as the walk refuses it.  An int beyond the float range
+    is refused too: the walk reads it as an infinity, which no rule admits.
+    The Box and ScoredBox rules run once on float64 columns, with Box's
+    arithmetic.
+    """
+    if not set(map(type, doc)) <= {dict}:
+        return None
+    image_ids = [entry.get("image_id") for entry in doc]
+    class_ids = [entry.get("category_id") for entry in doc]
+    scores = [entry.get("score") for entry in doc]
+    bboxes = [entry.get("bbox") for entry in doc]
+    if not (
+        set(map(type, image_ids)) <= {int}
+        and registry.images.keys() >= set(image_ids)
+        and set(map(type, class_ids)) <= {int}
+        and registry.categories.keys() >= set(class_ids)
+        and set(map(type, scores)) <= {int, float}
+        and set(map(type, bboxes)) <= {list}
+        and set(map(len, bboxes)) <= {4}
+    ):
+        return None
+    values = [value for bbox in bboxes for value in bbox]
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        left, top, width, height = np.array(values, dtype=np.float64).reshape(-1, 4).T
+        score = np.array(scores, dtype=np.float64)
+    except OverflowError:
+        return None
+    centers = np.column_stack([left + width / 2.0, top + height / 2.0, width, height])
+    with np.errstate(all="ignore"):
+        far = np.abs(centers[:, :2]) + centers[:, 2:] / 2.0
+        area = width * height
+    if not (
+        np.all(width > 0.0) and np.all(height > 0.0) and np.isfinite(far).all()
+        and np.all(area > 0.0) and np.all(area < math.inf)
+        and np.all(score >= 0.0) and np.all(score <= 1.0)
+    ):
+        return None
+    return image_ids, class_ids, score, centers
+
+
+def _walk_results(doc: list, ground_truths: GroundTruthSet) -> DetectionResultSet:
     rows: list[tuple[int, ScoredBox]] = []
     for position, entry in enumerate(doc):
         try:

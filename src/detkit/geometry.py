@@ -25,8 +25,10 @@ def _is_whole(value: float) -> bool:
         return False
 
 
-def _positive_count(name: str, value: float) -> int:
+def _positive_count(name: str, value) -> int:
     """value as an int; ValueError unless it is a positive whole number."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a positive whole number, got {value!r}")
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     if not _is_whole(value):
@@ -183,9 +185,13 @@ _NMS_BLOCK = 32
 _LATER_IN_BLOCK = np.triu(np.ones((_NMS_BLOCK, _NMS_BLOCK), dtype=bool), 1)
 
 
-def _corner_rows(boxes: Sequence[Box]) -> np.ndarray:
-    """(left, top, right, bottom, area) rows: each box's corners as Box computes them, and iou's area of them."""
-    fields = np.array([(b.center_x, b.center_y, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
+def _box_fields(boxes: Sequence[Box]) -> np.ndarray:
+    """(center_x, center_y, width, height) rows of boxes, as float64."""
+    return np.array([(b.center_x, b.center_y, b.width, b.height) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _corner_rows(fields: np.ndarray) -> np.ndarray:
+    """(left, top, right, bottom, area) rows of (n, 4) center-form box fields: each box's corners as Box computes them, and iou's area of them."""
     center, half = fields[:, :2], fields[:, 2:] / 2.0
     corners = np.concatenate([center - half, center + half], axis=1)
     size = corners[:, 2:] - corners[:, :2]
@@ -218,16 +224,22 @@ def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _iou_lists(rows: Sequence[Box], cols: Sequence[Box]) -> list[list[float]]:
     """[i][j] is iou(rows[i], cols[j]), every entry from one IOU matrix."""
     with np.errstate(all="ignore"):
-        return _overlaps(_corner_rows(rows), _corner_rows(cols)).tolist()
+        return _overlaps(_corner_rows(_box_fields(rows)), _corner_rows(_box_fields(cols))).tolist()
 
 
-def _visit_order(items: Sequence) -> list[int]:
-    """Positions of items (anything with a score) by descending score, ties in input order.
+def _visit_order(items: Sequence | np.ndarray) -> list[int]:
+    """Positions of items by descending score, ties in input order.
 
-    The one visit order of every ranking and greedy pass.  sorted is stable,
-    so items of equal score (0, 0.0 and -0.0 among them) keep their order.
+    items holds anything with a score, or is a float64 array of the scores
+    themselves, as a results set's score column is.  The one visit order of
+    every ranking and greedy pass: a stable argsort of the negated scores, so
+    items of equal score (0, 0.0 and -0.0 among them) keep their order.
+    Scores lie in [0, 1], where float64 holds every int and float exactly.
     """
-    return sorted(range(len(items)), key=lambda i: -items[i].score)
+    return np.argsort(
+        -(items if isinstance(items, np.ndarray) else np.array([item.score for item in items], dtype=np.float64)),
+        kind="stable",
+    ).tolist()
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -309,7 +321,7 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     survives = [True] * len(detections)
     if groups:
         with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
-            boxes = _corner_rows([detection.box for detection in detections])
+            boxes = _corner_rows(_box_fields([detection.box for detection in detections]))
             for members in groups:
                 for i, kept in zip(members, _greedy_keep(boxes[members], iou_threshold).tolist()):
                     survives[i] = kept

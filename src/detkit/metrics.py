@@ -14,15 +14,17 @@ class-pooled APs taken per image.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
 from .geometry import (  # noqa: F401
-    Box, ScoredBox, _check_threshold, _greedy, _iou_lists, _is_whole, _positive_count, _sum_in_order, _visit_order, iou,
+    Box, ScoredBox, _box_fields, _check_threshold, _corner_rows, _greedy, _iou_lists, _is_whole, _overlaps, _positive_count,
+    _sum_in_order, _visit_order, iou,
 )
 
 SMALL_AREA_MAX = 32.0 * 32.0
@@ -54,7 +56,7 @@ class ImageInfo:
     def __post_init__(self) -> None:
         for name in ("width", "height"):
             value = getattr(self, name)
-            if not (value > 0 and _is_whole(value)):
+            if not (isinstance(value, numbers.Real) and value > 0 and _is_whole(value)):
                 raise ValueError(f"image {self.image_id}: {name} must be a positive whole number, got {value}")
             object.__setattr__(self, name, int(value))
 
@@ -167,40 +169,88 @@ class Detection:
         return self.scored.box
 
 
+class _Columns(NamedTuple):
+    """A results set as columns: detection i's image and class id, its score, and its box's (n, 4) center-form fields."""
+
+    image_ids: Sequence[int]
+    class_ids: Sequence[int]
+    scores: np.ndarray
+    centers: np.ndarray
+
+
 class DetectionResultSet:
-    """Detections across images, preserving input order for score tie-breaks."""
+    """Detections across images, preserving input order for score tie-breaks.
+
+    A set built from (image_id, ScoredBox) pairs keeps those objects as given.
+    A loaded set is columnar: it builds its Detection objects only when
+    detections, iteration, for_image, filter or == asks for them.  The
+    evaluation engine reads columns, derived once from a built set's objects.
+    """
 
     def __init__(self, detections: Iterable[tuple[int, ScoredBox]]) -> None:
-        self._detections = tuple(
+        self._detections: tuple[Detection, ...] | None = tuple(
             Detection(image_id, scored, i) for i, (image_id, scored) in enumerate(detections)
         )
-        self._by_image: dict[int, list[Detection]] = {}
-        for det in self._detections:
-            self._by_image.setdefault(det.image_id, []).append(det)
+        self._columns: _Columns | None = None
+        self._by_image: dict[int, list[Detection]] | None = None
+
+    @classmethod
+    def _from_columns(
+        cls, image_ids: Sequence[int], class_ids: Sequence[int], scores: np.ndarray, centers: np.ndarray
+    ) -> "DetectionResultSet":
+        """A set over columns of checked fields: exact int ids, float64 scores and (n, 4) center-form boxes."""
+        made = cls.__new__(cls)
+        made._detections = None
+        made._columns = _Columns(image_ids, class_ids, scores, centers)
+        made._by_image = None
+        return made
 
     @property
     def detections(self) -> tuple[Detection, ...]:
+        if self._detections is None:
+            image_ids, class_ids, scores, centers = self._columns
+            self._detections = tuple(
+                Detection(image_id, ScoredBox(Box(*fields), score, class_id), i)
+                for i, (image_id, class_id, score, fields) in enumerate(
+                    zip(image_ids, class_ids, scores.tolist(), centers.tolist())
+                )
+            )
         return self._detections
 
+    def _column_view(self) -> _Columns:
+        if self._columns is None:
+            dets = self._detections
+            self._columns = _Columns(
+                [det.image_id for det in dets],
+                [det.class_id for det in dets],
+                np.array([det.score for det in dets], dtype=np.float64),
+                _box_fields([det.box for det in dets]),
+            )
+        return self._columns
+
     def for_image(self, image_id: int) -> tuple[Detection, ...]:
+        if self._by_image is None:
+            self._by_image = {}
+            for det in self.detections:
+                self._by_image.setdefault(det.image_id, []).append(det)
         return tuple(self._by_image.get(image_id, ()))
 
     def filter(self, keep: Callable[[Detection], bool]) -> "DetectionResultSet":
         """Subset preserving relative order (and therefore tie-break behaviour)."""
         return DetectionResultSet(
-            (d.image_id, d.scored) for d in self._detections if keep(d)
+            (d.image_id, d.scored) for d in self.detections if keep(d)
         )
 
     def __len__(self) -> int:
-        return len(self._detections)
+        return len(self._detections) if self._detections is not None else len(self._columns.scores)
 
     def __iter__(self):
-        return iter(self._detections)
+        return iter(self.detections)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DetectionResultSet):
             return NotImplemented
-        return self._detections == other._detections
+        return self.detections == other.detections
 
 
 @dataclass(frozen=True)
@@ -273,27 +323,53 @@ class PRCurve:
         return average_precision(self, "continuous")
 
 
-def _check_inputs(detections: DetectionResultSet, ground_truths: GroundTruthSet, thresholds: Sequence[float]) -> None:
-    """Raise for a threshold outside [0, 1], then for a detection naming an unregistered image or undeclared category."""
+def _check_inputs(detections: DetectionResultSet, ground_truths: GroundTruthSet, thresholds: Sequence[float]) -> _Columns:
+    """Raise for a threshold outside [0, 1], then for a detection naming an unregistered image or undeclared category.
+
+    Returns the detections' columns.
+    """
     for threshold in thresholds:
         _check_threshold(threshold)
-    for det in detections:
-        if det.image_id not in ground_truths.images:
-            raise UnknownImageError(det.image_id)
-        if det.class_id not in ground_truths.categories:
-            raise ValueError(f"detection references unknown category {det.class_id}")
+    columns = detections._column_view()
+    images, categories = ground_truths.images.keys(), ground_truths.categories.keys()
+    if not (images >= set(columns.image_ids) and categories >= set(columns.class_ids)):
+        for image_id, class_id in zip(columns.image_ids, columns.class_ids):  # name the first bad detection
+            if image_id not in images:
+                raise UnknownImageError(image_id)
+            if class_id not in categories:
+                raise ValueError(f"detection references unknown category {class_id}")
+    return columns
+
+
+def _codes(ids: Sequence, keys: Sequence) -> np.ndarray:
+    """Each id's position in keys; every id is one of them."""
+    position = {key: code for code, key in enumerate(keys)}
+    return np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
+
+
+def _split(members: np.ndarray, codes: np.ndarray) -> dict[int, np.ndarray]:
+    """{code: the members of that code, in members' order} for each code present; codes are >= 0, codes[i] is members[i]'s."""
+    by_code = np.argsort(codes, kind="stable")
+    codes = codes[by_code]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return dict(zip(codes[starts].tolist(), np.split(members[by_code], starts[1:])))
+
+
+_NO_DETECTIONS = np.zeros(0, dtype=np.intp)
 
 
 class _Evaluation:
     """The one matching pass behind every metric.
 
-    Image and category ids are checked once.  Detections are grouped once by
-    (image, class) in sweep order, truths once by (image, class) in input
-    order, and the IOU of every same-group (detection, truth) pair is computed
-    once.  A detection whose IOUs all fall below the lowest threshold can
-    match at no threshold, so its row is dropped before matching; it still
-    ranks as a false positive.  matched[t] maps the input index of each
-    detection that took a truth at threshold t to that truth.
+    Image and category ids are checked once.  Detections, read as columns and
+    named by their input index, are grouped once by (image, class) in sweep
+    order, truths once by (image, class) in input order, and the IOU of every
+    same-group (detection, truth) pair is computed once.  A detection whose
+    IOUs all fall below the lowest threshold can match at no threshold, so its
+    row is dropped before matching; it still ranks as a false positive.
+    matched[t] maps the input index of each detection that took a truth at
+    threshold t to that truth.  Given class_id, only that class's detections
+    are ranked and matched; all are checked.
     """
 
     def __init__(
@@ -301,31 +377,40 @@ class _Evaluation:
         detections: DetectionResultSet,
         ground_truths: GroundTruthSet,
         thresholds: Sequence[float],
+        class_id: int | None = None,
     ) -> None:
-        _check_inputs(detections, ground_truths, thresholds)
+        image_ids, class_ids, scores, centers = _check_inputs(detections, ground_truths, thresholds)
+        self.size = len(scores)
         # every truth, image by image in input order
         self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
         self.counts = Counter(gt.class_id for gt in self.truths)
-        given = detections.detections
-        self.order = [given[i] for i in _visit_order(given)]
-        self.by_class: dict[int, list[Detection]] = {}
-        self.by_image: dict[int, list[Detection]] = {}
-        by_group: dict[tuple[int, int], list[Detection]] = {}
-        for det in self.order:
-            self.by_class.setdefault(det.class_id, []).append(det)
-            self.by_image.setdefault(det.image_id, []).append(det)
-            by_group.setdefault((det.image_id, det.class_id), []).append(det)
-        truths: dict[tuple[int, int], list[GroundTruth]] = {}
-        for gt in self.truths:
-            truths.setdefault((gt.image_id, gt.class_id), []).append(gt)
+        images, classes = list(ground_truths.images), list(ground_truths.categories)
+        image_code, class_code = _codes(image_ids, images), _codes(class_ids, classes)
+        self.order = np.array(_visit_order(scores), dtype=np.intp)
+        if class_id is not None:
+            self.order = self.order[class_code[self.order] == classes.index(class_id)]
+        self.by_class = {classes[c]: dets for c, dets in _split(self.order, class_code[self.order]).items()}
+        self.by_image = {images[c]: dets for c, dets in _split(self.order, image_code[self.order]).items()}
+        # (image, class) group codes of the detections in sweep order, and the truth positions of each group
+        group = image_code[self.order] * len(classes) + class_code[self.order]
+        truth_group = (
+            _codes([gt.image_id for gt in self.truths], images) * len(classes)
+            + _codes([gt.class_id for gt in self.truths], classes)
+        )
+        truths = _split(np.arange(len(self.truths)), truth_group)
+        judged = np.isin(group, list(truths))
+        rows, truth_rows = _corner_rows(centers), _corner_rows(_box_fields([gt.box for gt in self.truths]))
         lowest = min(thresholds)
         # (detections, truths, IOU rows, columns taken from the start) per group holding both, over rows that can match
         self.groups = []
-        for key, dets in by_group.items():
-            if key in truths:
-                rows = zip(dets, _iou_lists([det.box for det in dets], [gt.box for gt in truths[key]]))
-                rows = [(det, row) for det, row in rows if max(row) >= lowest]
-                self.groups.append(([det for det, _ in rows], truths[key], [row for _, row in rows], ()))
+        with np.errstate(all="ignore"):
+            for code, dets in _split(self.order[judged], group[judged]).items():
+                members = truths[code]
+                ious = _overlaps(rows[dets], truth_rows[members])
+                reach = ious.max(axis=1) >= lowest
+                self.groups.append(
+                    (dets[reach].tolist(), [self.truths[g] for g in members.tolist()], ious[reach].tolist(), ())
+                )
         self.matched = {t: self._match(self.groups, t) for t in thresholds}
 
     def _match(self, groups, iou_threshold: float) -> dict[int, GroundTruth]:
@@ -333,30 +418,32 @@ class _Evaluation:
         for dets, truths, rows, taken in groups:
             for det, g in zip(dets, _greedy(rows, iou_threshold, taken)):
                 if g is not None:
-                    matched[det.index] = truths[g]
+                    matched[det] = truths[g]
         return matched
 
     def _sweeps(
         self,
-        swept: Mapping[int, Sequence[Detection]],
+        swept: Mapping[int, np.ndarray],
         matches: Sequence[Mapping[int, GroundTruth]],
         counts: Mapping[int, int],
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per match map, the PR sweeps of the keys of counts (truth counts) in ascending key order.
 
         Each is (recall, precision, lengths): the sweeps laid end to end, key
-        k's the next lengths[k] points.  swept[key] is in sweep order.
+        k's the next lengths[k] points.  swept[key] holds detection indices in
+        sweep order.
         """
         keys = sorted(counts)
-        lengths = np.array([len(swept.get(k, ())) for k in keys], dtype=np.intp)
-        index = np.fromiter((det.index for k in keys for det in swept.get(k, ())), np.intp, lengths.sum())
+        parts = [swept.get(k, _NO_DETECTIONS) for k in keys]
+        lengths = np.array([len(part) for part in parts], dtype=np.intp)
+        index = np.concatenate([_NO_DETECTIONS, *parts])
         row = np.repeat(np.arange(len(keys)), lengths)
         before = (np.cumsum(lengths) - lengths)[row]  # sweep positions ahead of each key's first
         num_gt = np.array([counts[k] for k in keys], dtype=np.intp)[row]
         ranked = np.arange(len(index)) - before + 1  # tp + fp
         out = []
         for matched in matches:
-            taken = np.zeros(len(self.order), dtype=bool)
+            taken = np.zeros(self.size, dtype=bool)
             taken[np.fromiter(matched, np.intp, len(matched))] = True
             hits = np.cumsum(taken[index])
             tp = hits - np.concatenate(([0], hits))[before]
@@ -381,16 +468,17 @@ class _Evaluation:
         """
         swept, matched, counts = self.by_class, self.matched, self.counts
         if band is not None:
-            owned = {index for index, truth in self.matched[0.5].items() if area_band(truth.box) != band}
+            owned = np.zeros(self.size, dtype=bool)
+            owned[[index for index, truth in self.matched[0.5].items() if area_band(truth.box) != band]] = True
             groups = []
             for dets, truths, rows, _ in self.groups:
                 others = {g for g, gt in enumerate(truths) if area_band(gt.box) != band}
                 if len(others) < len(truths):
-                    rest = [(det, row) for det, row in zip(dets, rows) if det.index not in owned]
+                    rest = [(det, row) for det, row in zip(dets, rows) if not owned[det]]
                     groups.append(([det for det, _ in rest], truths, [row for _, row in rest], others))
             matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
             counts = Counter(gt.class_id for gt in self.truths if area_band(gt.box) == band)
-            swept = {c: [d for d in self.by_class.get(c, ()) if d.index not in owned] for c in counts}
+            swept = {c: dets[~owned[dets]] for c, dets in self.by_class.items() if c in counts}
         per_class = self._aps(swept, [matched[t] for t in COCO_IOU_THRESHOLDS], counts, "101-point")
         by_threshold = {t: _mean(list(aps.values())) for t, aps in zip(COCO_IOU_THRESHOLDS, per_class)}
         ap = _mean(list(by_threshold.values())) if counts else None
@@ -404,6 +492,7 @@ class _Evaluation:
     def per_image_ap(self, iou_threshold: float) -> float | None:
         counts = Counter(gt.image_id for gt in self.truths)
         return _mean(list(self._aps(self.by_image, [self.matched[iou_threshold]], counts, "continuous")[0].values()))
+
 
 
 def pr_curve(
@@ -423,7 +512,7 @@ def pr_curve(
     num_gt = ground_truths.class_count(class_id)
     if num_gt == 0:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
-    evaluation = _Evaluation(detections.filter(lambda d: d.class_id == class_id), ground_truths, (iou_threshold,))
+    evaluation = _Evaluation(detections, ground_truths, (iou_threshold,), class_id)
     sweeps = evaluation._sweeps(evaluation.by_class, [evaluation.matched[iou_threshold]], {class_id: num_gt})
     recall, precision, _ = sweeps[0]
     return PRCurve(tuple(zip(recall.tolist(), precision.tolist())), num_gt)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ class TestDistancesMatchPairwiseFormulas:
             want = oracle_distances(dims, centroids, mode)
             assert got.shape == want.shape == (len(dims), k)
             assert got.tobytes() == want.tobytes()
+
+    def test_iou_distances_fill_two_buffers(self):
+        dims = _benchmark_like_sizes(0, 20_000)
+        centroids = dims[:9] * 1.5
+        tracemalloc.start()
+        try:
+            anchors._distances(dims, centroids, "iou")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two (n, k) float64 buffers and the (n, 1) sample areas, where fresh temporaries held four (n, k) at once
+        assert peak < 2.5 * dims.shape[0] * len(centroids) * 8
 
     @pytest.mark.parametrize("mode", ["iou", "euclidean"])
     def test_same_clustering_as_pairwise_formulas(self, mode, monkeypatch):
@@ -290,6 +303,14 @@ class TestCountArguments:
             kmeans_anchors(self.samples, 2, max_iters=-1.5)
         with pytest.raises(ValueError, match=r"^num_scales must be positive, got 0$"):
             split_scales(self.priors, 0)
+
+    def test_counts_must_be_numbers(self):
+        with pytest.raises(ValueError, match=r"^k must be a positive whole number, got None$"):
+            kmeans_anchors(self.samples, None)
+        with pytest.raises(ValueError, match=r"^max_iters must be a positive whole number, got '3'$"):
+            kmeans_anchors(self.samples, 2, max_iters="3")
+        with pytest.raises(ValueError, match=r"^num_scales must be a positive whole number, got None$"):
+            split_scales(self.priors, None)
 
     def test_whole_valued_floats_count_as_ints(self):
         assert kmeans_anchors(self.samples, 2.0, max_iters=3.0) == kmeans_anchors(self.samples, 2, max_iters=3)

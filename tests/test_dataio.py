@@ -13,24 +13,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_boxes_close
+from conftest import assert_boxes_close, run_cli
 from detkit import (
     Box,
     DetectionResultSet,
     DimensionSamples,
     GroundTruthSet,
+    ImageInfo,
     ParseError,
     ScoredBox,
     ValidationError,
     ap_by_area,
+    coco_ap,
     dataio,
     dump_results,
+    evaluate,
     fixture_path,
     load_dataset,
     load_dimension_samples,
     load_results,
     load_speed_table,
+    metrics,
     pathology_fixture,
+    pr_curve,
     results_document,
     write_results,
 )
@@ -553,6 +558,78 @@ def _assert_finite_box(box):
     assert all(math.isfinite(v) for v in (*box.corners(), box.area)) and box.width > 0 and box.height > 0
 
 
+_REGISTRY = GroundTruthSet([ImageInfo(i, 640, 480) for i in (1, 2, 3)], [0, 1, 2])
+# Values at the edge of a rule, by type or by size: json reads true and false as bools, and writes NaN and Infinity.
+_edge_values = st.sampled_from(
+    [True, False, None, "1", 10**400, -(10**400), 2**64, math.nan, math.inf, -math.inf, 1e308, 1e200, -0.0, 5e-324]
+)
+_coordinates = st.integers(-5, 700) | st.floats(-1e3, 1e3) | st.sampled_from([0, 0.5, 1e155, 1e200, 10**300]) | _edge_values
+_sizes_ok = st.integers(1, 700) | st.floats(1e-3, 1e3) | st.sampled_from([1e-150, 1e150, 2**53 + 1])
+
+
+def _record(**fields):
+    record = {"image_id": 1, "category_id": 1, "bbox": [10, 20, 30.5, 40], "score": 0.5}
+    record.update(fields)
+    return record
+
+
+def _records(sizes, scores):
+    """Records of registered ids, with bbox sizes and scores drawn from sizes and scores."""
+    corner = st.integers(-5, 700) | st.floats(-1e3, 1e3)
+    return st.builds(
+        lambda image_id, category_id, left, top, width, height, score: _record(
+            image_id=image_id, category_id=category_id, bbox=[left, top, width, height], score=score
+        ),
+        st.sampled_from([1, 2, 3]), st.sampled_from([0, 1, 2]), corner, corner, sizes, sizes, scores,
+    )
+
+
+_valid_records = _records(_sizes_ok, st.floats(0.0, 1.0) | st.sampled_from([0, 1, 5e-324]))
+# Numbers a rule refuses only at the extremes: an int beyond the float range, an area that overflows.
+_extreme_records = _records(
+    st.sampled_from([7, 1e100, 1e155, 1e200, 1e308, 10**400, math.inf, math.nan, 0, -1]),
+    st.floats(0.0, 1.0) | st.sampled_from([10**400, -(10**400), 1.5, -0.5, math.nan, math.inf]),
+)
+_wild_values = (
+    st.integers(-1, 4) | _edge_values | st.lists(_coordinates, max_size=5) | st.lists(_coordinates, min_size=4, max_size=4)
+)
+
+
+def _broken(record, key, value):
+    """record with key deleted where value is None, else set to value."""
+    record = dict(record)
+    if value is None:
+        del record[key]
+    else:
+        record[key] = value
+    return record
+
+
+_broken_records = st.builds(
+    _broken, _valid_records, st.sampled_from(["image_id", "category_id", "bbox", "score"]), _wild_values
+)
+# Valid records, some with an extreme number.
+_record_lists = st.lists(st.one_of(_valid_records, _valid_records, _valid_records, _extreme_records), max_size=4)
+# An entry with a field broken or missing, or that is not an object.
+_bad_entries = _broken_records | _edge_values
+
+
+def _walk_outcome(load):
+    try:
+        return "ok", load()
+    except (ParseError, ValidationError) as err:
+        return "error", err
+
+
+def _hex_fields(dets):
+    """Every field of every detection, floats spelled exactly (-0.0 apart from 0.0), with its type."""
+    return [
+        (d.index, d.image_id, d.class_id, type(d.score), d.score.hex(),
+         *((type(v), v.hex()) for v in (d.box.center_x, d.box.center_y, d.box.width, d.box.height)))
+        for d in dets
+    ]
+
+
 class TestLoaderFuzz:
     """Any JSON document loads as a valid set or raises ParseError/ValidationError."""
 
@@ -586,3 +663,104 @@ class TestLoaderFuzz:
             assert det.image_id in truths.images and det.class_id in truths.categories
             assert 0.0 <= det.score <= 1.0
             _assert_finite_box(det.box)
+
+    @given(records=_record_lists, bad=_bad_entries, at=st.integers(0, 4))
+    @example(records=[], bad=_record(image_id=True), at=0)
+    @example(records=[], bad=_record(category_id=False), at=0)
+    @example(records=[], bad=_record(score=True), at=0)
+    @example(records=[], bad=_record(bbox=[0, 0, True, 5]), at=0)
+    @example(records=[], bad=_record(bbox=[0, 0, 10**400, 5]), at=0)
+    @example(records=[], bad=_record(score=-10**400), at=0)
+    @example(records=[], bad=_record(bbox=[0, 0, 1e200, 1e200]), at=0)
+    @example(records=[], bad=_record(bbox=[1e308, 0, 1e308, 5]), at=0)
+    @example(records=[], bad=_record(bbox=[0, 0, math.nan, 5]), at=0)
+    @example(records=[], bad=_record(score=math.nan), at=0)
+    @example(records=[_record()], bad=7, at=1)
+    @example(records=[], bad=_record(image_id=9), at=0)
+    @example(records=[], bad=_record(bbox=[0, 0, 5]), at=0)
+    @example(records=[], bad={"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]}, at=0)
+    @example(records=[], bad=_record(bbox=[-0.0, 1e-310, 5e-324, 10**300]), at=0)
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_the_record_walk(self, records, bad, at):
+        """_results_set gives the walk's set, field for field, or raises the walk's exception and message.
+
+        Checked on the records, then with the bad entry put in among them.
+        """
+        for doc in (records, records[:at] + [bad] + records[at:]):
+            doc = json.loads(json.dumps(doc))  # as a file holds it: NaN and Infinity included
+            got_kind, got = _walk_outcome(lambda: dataio._results_set("dets.json", doc, _REGISTRY))
+            want_kind, want = _walk_outcome(lambda: dataio._walk_results(doc, _REGISTRY))
+            assert got_kind == want_kind, (got, want)
+            if got_kind == "ok":
+                assert got == want
+                assert _hex_fields(got) == _hex_fields(want)
+            else:
+                assert (type(got), str(got)) == (type(want), str(want))
+
+
+class TestColumnarResults:
+    """A loaded set holds columns and builds Detection objects only when asked; evaluation asks for none."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """A list that gains an entry for each Detection constructed while the test runs."""
+        made = []
+        init = metrics.Detection.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(metrics.Detection, "__init__", counting)
+        return made
+
+    def test_evaluation_of_a_loaded_set_builds_no_detection(self, constructed):
+        truths = pathology_fixture()[0]
+        dets = load_results(fixture_path("pathology_dets_b.json"), truths)
+        evaluate(dets, truths)
+        coco_ap(dets, truths)
+        for class_id in truths.classes_with_truth():
+            pr_curve(dets, truths, 0.5, class_id)
+        assert constructed == []
+        assert len(dets.detections) == len(dets) > 0  # asked for, they are built
+        assert len(constructed) == len(dets)
+
+    def test_detkit_eval_builds_no_detection(self, constructed):
+        code, out, _ = run_cli(["eval", "--gt", str(fixture_path("pathology_gt.json")),
+                                "--dets", str(fixture_path("pathology_dets_b.json")), "--metric", "all"])
+        assert code == 0 and out
+        assert constructed == []
+
+    @pytest.mark.parametrize("name", ["pathology_dets_a.json", "pathology_dets_b.json"])
+    def test_objects_built_on_demand_match_the_walk(self, name):
+        truths = pathology_fixture()[0]
+        doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+        columnar = dataio._results_set(name, doc, truths)
+        walked = dataio._walk_results(doc, truths)
+        assert columnar._detections is None
+        assert _hex_fields(columnar) == _hex_fields(walked)
+        assert columnar == walked
+
+    @given(records=_record_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_views_of_a_loaded_set_match_the_walk(self, records):
+        doc = json.loads(json.dumps(records))
+        try:
+            walked = dataio._walk_results(doc, _REGISTRY)
+        except ValidationError:
+            return
+        for image_id in (1, 2, 3, 4):
+            columnar = dataio._results_set("dets.json", doc, _REGISTRY)
+            assert [_hex_fields([d]) for d in columnar.for_image(image_id)] == [
+                _hex_fields([d]) for d in walked.for_image(image_id)
+            ]
+        assert len(dataio._results_set("dets.json", doc, _REGISTRY)) == len(walked)
+        keep = lambda d: d.score > 0.5  # noqa: E731
+        assert _hex_fields(columnar.filter(keep)) == _hex_fields(walked.filter(keep))
+        assert _hex_fields(list(columnar)) == _hex_fields(walked.detections)
+
+    def test_library_built_set_keeps_its_fields(self):
+        scored = ScoredBox(Box.from_corner_size(1.0, 2.0, 30, 40), 1, 2)
+        dets = DetectionResultSet([(1, scored)])
+        assert dets.detections[0].scored is scored
+        assert dump_results(dets) == '[{"image_id": 1, "category_id": 2, "bbox": [1.0, 2.0, 30, 40], "score": 1}]'

@@ -210,15 +210,16 @@ class TestPRCurve:
         truths = _truths([(1, 1, (0, 0, 10, 10)), (1, 2, (50, 50, 60, 60))])
         dets = _dets([(1, 2, 0.9, (50, 50, 60, 60)), (1, 1, 0.8, (0, 0, 10, 10)), (1, 2, 0.7, (51, 51, 61, 61))])
         built = []
-        iou_lists = metrics._iou_lists
+        overlaps = metrics._overlaps
 
         def recording(rows, cols):
-            built.append(rows + cols)
-            return iou_lists(rows, cols)
+            built.append((rows.tolist(), cols.tolist()))
+            return overlaps(rows, cols)
 
-        monkeypatch.setattr(metrics, "_iou_lists", recording)
+        monkeypatch.setattr(metrics, "_overlaps", recording)
         assert pr_curve(dets, truths, 0.5, class_id=1).points == ((1.0, 1.0),)
-        assert built == [[Box.from_corners(0, 0, 10, 10)] * 2]
+        # one IOU matrix: the corner row (left, top, right, bottom, area) of class 1's detection against its truth's
+        assert built == [([[0.0, 0.0, 10.0, 10.0, 100.0]], [[0.0, 0.0, 10.0, 10.0, 100.0]])]
 
     def test_unknown_image_in_another_class_detected(self):
         truths = _truths([(1, 1, (0, 0, 10, 10))], categories=[1, 2])
@@ -745,6 +746,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=rf"^shards must be a whole number, got {shards!r}$"):
             evaluate(dets, truths, shards=shards)
 
+    @pytest.mark.parametrize("shards", ["2", None])
+    def test_shards_must_be_a_number(self, shards):
+        dets, truths = _simple_pair()
+        with pytest.raises(ValueError, match=rf"^shards must be a positive whole number, got {shards!r}$"):
+            evaluate(dets, truths, shards=shards)
+
     def test_shards_positive_message_unchanged(self):
         dets, truths = _simple_pair()
         with pytest.raises(ValueError, match=r"^shards must be positive, got -2$"):
@@ -847,6 +854,14 @@ class TestImageInfo:
     )
     def test_rejects_non_whole_or_non_positive_sizes(self, width, height):
         with pytest.raises(ValueError, match="positive whole number"):
+            ImageInfo(1, width, height)
+
+    @pytest.mark.parametrize("width,height,message", [
+        (None, 10, "width must be a positive whole number, got None"),
+        (640, "480", "height must be a positive whole number, got 480"),
+    ])
+    def test_rejects_non_numbers(self, width, height, message):
+        with pytest.raises(ValueError, match=rf"^image 1: {message}$"):
             ImageInfo(1, width, height)
 
     def test_whole_valued_float_sizes_become_ints(self):
