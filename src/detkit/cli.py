@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable or invalid input data, 64 usage errors
 (unknown flags, missing arguments), 65 semantically invalid flag values.
+A reader that closes the output pipe early is no error: the command stops
+with 0 and writes nothing to stderr.
 All output is deterministic: TSV numbers carry six decimal places ("NA" for
 values whose denominator is empty), JSON keeps full float precision.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -17,14 +20,12 @@ from .anchors import InsufficientSamplesError, NotDivisibleError, kmeans_anchors
 from .dataio import (
     ParseError,
     ValidationError,
-    _load_json,
-    _record_as_read,
-    _results_set,
     demo_map_pathology,
     load_dataset,
     load_dimension_samples,
     load_results,
     load_speed_table,
+    results_document,
 )
 from .geometry import _check_threshold, nms
 from .metrics import MetricReport, evaluate
@@ -127,17 +128,11 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 def _cmd_nms(args: argparse.Namespace) -> int:
     truths = load_dataset(args.gt)  # supplies the image registry only
-    records = _load_json(args.dets)
-    detections = _results_set(args.dets, records, truths)
+    detections = load_results(args.dets, truths)
+    records = results_document(detections)  # each record as read, so no survivor goes through its center
     _check_threshold(args.iou)  # here too, for a dataset without images, where nms never runs
-    survivors = []
-    for image_id in truths.image_ids:
-        dets = detections.for_image(image_id)
-        position = {id(d.scored): d.index for d in dets}
-        kept = nms([d.scored for d in dets], args.iou)
-        # each survivor is written from its own record: a box's corners rebuilt from its center can drift
-        survivors.extend(_record_as_read(records[position[id(scored)]]) for scored in kept)
-    print(json.dumps(survivors))
+    kept = [det for image_id in truths.image_ids for det in nms(detections.for_image(image_id), args.iou)]
+    print(json.dumps([records[det.index] for det in kept]))
     return EXIT_OK
 
 
@@ -227,7 +222,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that has gone shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the reader closed the pipe: not a data error, and no one is left to tell
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is still buffered goes nowhere
+        return EXIT_OK
     except (ParseError, ValidationError, InsufficientSamplesError, OSError) as err:
         print(f"detkit: {err}", file=sys.stderr)
         return EXIT_DATA_ERROR

@@ -303,10 +303,12 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
 def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
     """Greedy per-class non-maximum suppression.
 
-    Candidates are visited in descending score order (ties broken by input
-    position).  A candidate is kept iff its IOU with every already-kept box of
-    the same class_id is <= iou_threshold.  Kept boxes come back in the visit
-    order, i.e. by descending score, with their fields untouched.
+    detections may be any items with a score, a class_id and a box:
+    ScoredBoxes, or the Detections of a results set.  Candidates are visited
+    in descending score order (ties broken by input position).  A candidate
+    is kept iff its IOU with every already-kept box of the same class_id is
+    <= iou_threshold.  Kept items come back in the visit order, i.e. by
+    descending score: the very items given, their fields untouched.
 
     The greedy rule runs on numpy arrays with iou's arithmetic elementwise,
     so the kept list is the scalar rule's exactly.

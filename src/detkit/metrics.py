@@ -170,12 +170,18 @@ class Detection:
 
 
 class _Columns(NamedTuple):
-    """A results set as columns: detection i's image and class id, its score, and its box's (n, 4) center-form fields."""
+    """A results set as columns: detection i's image and class id, its score, and its box's (n, 4) center-form fields.
+
+    bboxes holds a loaded set's records' (n, 4) [left, top, width, height]
+    as read, which results_document writes back; it is None for a set built
+    from objects.
+    """
 
     image_ids: Sequence[int]
     class_ids: Sequence[int]
     scores: np.ndarray
     centers: np.ndarray
+    bboxes: np.ndarray | None
 
 
 class DetectionResultSet:
@@ -195,20 +201,18 @@ class DetectionResultSet:
         self._by_image: dict[int, list[Detection]] | None = None
 
     @classmethod
-    def _from_columns(
-        cls, image_ids: Sequence[int], class_ids: Sequence[int], scores: np.ndarray, centers: np.ndarray
-    ) -> "DetectionResultSet":
-        """A set over columns of checked fields: exact int ids, float64 scores and (n, 4) center-form boxes."""
+    def _from_columns(cls, *columns) -> "DetectionResultSet":
+        """A set over the _Columns of checked records: exact int ids, float64 scores and (n, 4) boxes."""
         made = cls.__new__(cls)
         made._detections = None
-        made._columns = _Columns(image_ids, class_ids, scores, centers)
+        made._columns = _Columns(*columns)
         made._by_image = None
         return made
 
     @property
     def detections(self) -> tuple[Detection, ...]:
         if self._detections is None:
-            image_ids, class_ids, scores, centers = self._columns
+            image_ids, class_ids, scores, centers, _ = self._columns
             self._detections = tuple(
                 Detection(image_id, ScoredBox(Box(*fields), score, class_id), i)
                 for i, (image_id, class_id, score, fields) in enumerate(
@@ -225,6 +229,7 @@ class DetectionResultSet:
                 [det.class_id for det in dets],
                 np.array([det.score for det in dets], dtype=np.float64),
                 _box_fields([det.box for det in dets]),
+                None,
             )
         return self._columns
 
@@ -379,7 +384,7 @@ class _Evaluation:
         thresholds: Sequence[float],
         class_id: int | None = None,
     ) -> None:
-        image_ids, class_ids, scores, centers = _check_inputs(detections, ground_truths, thresholds)
+        image_ids, class_ids, scores, centers, _ = _check_inputs(detections, ground_truths, thresholds)
         self.size = len(scores)
         # every truth, image by image in input order
         self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import run_cli
-from detkit import fixture_path
+from detkit import dump_results, fixture_path, load_dataset, load_results, nms
 from detkit.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_SEMANTIC_ERROR, EXIT_USAGE_ERROR
 
 GT = str(fixture_path("pathology_gt.json"))
@@ -407,6 +410,62 @@ class TestNms:
         assert err == "detkit: iou_threshold must lie in [0, 1], got 7.0\n"
 
 
+# How a results file may spell a number in [lo, hi]: an int, two decimals, an exponent, or a float's repr.
+def _spelled(lo: int, hi: int) -> st.SearchStrategy[str]:
+    hundredths = st.integers(lo * 100, hi * 100)
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        hundredths.map(lambda v: f"{v // 100}.{v % 100:02d}"),
+        hundredths.map(lambda v: f"{v}e-2"),
+        hundredths.map(lambda v: f"{v / 1000!r}E1"),
+        st.floats(lo, hi).map(repr),
+    )
+
+
+_scores = st.sampled_from(["0", "1", "0.5", "1.0", "0e0", "5E-1"]) | _spelled(0, 1)
+_records = st.builds(
+    '{{"image_id": {}, "category_id": {}, "bbox": [{}, {}, {}, {}], "score": {}{}}}'.format,
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([0, 1, 2]),
+    _spelled(0, 60), _spelled(0, 60), _spelled(1, 60), _spelled(1, 60),
+    _scores,
+    st.sampled_from(["", ', "id": 7', ', "area": 1.5e2', ', "segmentation": [[1, 2]]']),
+)
+# Registry order is not id order, and image 4 has no detections.
+_REGISTRY_DOC = {"images": [{"id": i, "width": 640, "height": 480} for i in (2, 4, 1, 3)],
+                 "categories": [{"id": c, "name": f"c{c}"} for c in (0, 1, 2)], "annotations": []}
+
+
+class TestResultsWriterFuzz:
+    """dump_results of a loaded set and detkit nms write each record as the loader read it."""
+
+    @given(records=st.lists(_records, max_size=30),
+           threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    @example(records=['{"image_id": 1, "category_id": 1, "bbox": [540.43, 10.0, 227.63, 50.5], "score": 0.9}'],
+             threshold=0.5)
+    @settings(max_examples=100, deadline=None)
+    def test_records_are_written_as_read(self, records, threshold):
+        text = "[" + ", ".join(records) + "]"
+        as_read = [{"image_id": r["image_id"], "category_id": r["category_id"],
+                    "bbox": [float(v) for v in r["bbox"]], "score": float(r["score"])} for r in json.loads(text)]
+        with tempfile.TemporaryDirectory() as tmp:
+            gt, dets = Path(tmp) / "gt.json", Path(tmp) / "dets.json"
+            gt.write_text(json.dumps(_REGISTRY_DOC), encoding="utf-8")
+            dets.write_text(text, encoding="utf-8")
+            truths = load_dataset(gt)
+            detections = load_results(dets, truths)
+            assert dump_results(detections) == json.dumps(as_read)
+            expected = []
+            for image_id in truths.image_ids:
+                candidates = detections.for_image(image_id)
+                kept, want = nms(candidates, threshold), oracles.oracle_nms(candidates, threshold)
+                assert len(kept) == len(want) and all(got is det for got, det in zip(kept, want))
+                expected.extend(as_read[det.index] for det in want)
+            code, out, err = run_cli(["nms", "--gt", str(gt), "--dets", str(dets), "--iou", repr(threshold)])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == json.dumps(expected) + "\n"
+
+
 class TestPlotdata:
     def test_reemits_rows_byte_identically(self):
         code, out, _ = run_cli(["plotdata", "--table", TABLE_AP50])
@@ -512,6 +571,22 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert result.stdout == "depth\t255\ntotal\t43095\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_a_closed_pipe_is_not_a_data_error(self, unbuffered):
+        # A buffered stdout meets the closed pipe at its last flush, an unbuffered one at the first print.
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the command writes
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "detkit.cli", "demo", "map-pathology"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
 
     def test_help_exits_cleanly(self):
         code, out, _ = run_cli(["--help"])

@@ -127,6 +127,8 @@ class TestNumericStorage:
         scored = ScoredBox(Box(*(np.float32(v) for v in (10.3, 20.1, 30.7, 40.2))), np.float32(0.3), 1)
         written = dump_results(DetectionResultSet([(1, scored)]))
         assert '"score": 0.30000001192092896' in written
+        # json cannot write a numpy integer, so dump_results turns the image id into an int
+        assert dump_results(DetectionResultSet([(np.int64(1), scored)])) == written
 
     def test_python_ints_and_floats_stay_as_given(self):
         scored = ScoredBox(Box(1, 2.5, 3, 4.0), 1, 0)

@@ -1,10 +1,11 @@
-"""The two order rules every output rests on, each stated once in geometry.
+"""The two order rules every output rests on, each stated once in geometry, and the one results writer.
 
 _visit_order is the one visit order of every ranking and greedy pass: by
 descending score, ties in input order.  _sum_in_order is the one sum behind
 every mean and loss: left to right, as sum() added floats before Python 3.12
-compensated it.  The guard below reads the package source, so a second copy
-of either rule cannot come back unnoticed.
+compensated it.  dataio.results_document is the one code that writes a
+results record.  The guard below reads the package source, so a second copy
+of any of them cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -28,19 +29,31 @@ VISIT_ORDER_SITE = ("geometry", "_visit_order")
 
 SORTS = ("sorted", "sort", "argsort", "lexsort")
 
+# The keys of a results record, and the one function that may build a dict holding them all.
+RECORD_KEYS = {"image_id", "category_id", "bbox", "score"}
+RECORD_WRITER_SITE = ("dataio", "results_document")
+
 
 def _reads_score(node: ast.AST) -> bool:
     return any(isinstance(n, ast.Attribute) and n.attr == "score" for n in ast.walk(node))
 
 
 class _OrderRuleFinder(ast.NodeVisitor):
-    """Collects builtin sum() calls and sorts whose arguments or key read a .score, with their enclosing function."""
+    """Collects builtin sum() calls, sorts whose arguments or key read a .score, and dicts with every results-record key.
+
+    A dict counts whether it is a display or a dict() call with keywords.
+    Sorts and dicts are collected with their enclosing function.
+    """
 
     def __init__(self, module: str) -> None:
         self.module = module
         self.scope: list[str] = []
         self.sums: list[tuple[str, int]] = []
         self.score_sorts: list[tuple[str, str | None, int]] = []
+        self.records: list[tuple[str, str | None, int]] = []
+
+    def _site(self, node: ast.AST) -> tuple[str, str | None, int]:
+        return self.module, self.scope[-1] if self.scope else None, node.lineno
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.scope.append(node.name)
@@ -55,7 +68,14 @@ class _OrderRuleFinder(ast.NodeVisitor):
         if isinstance(func, ast.Name) and name == "sum":
             self.sums.append((self.module, node.lineno))
         if name in SORTS and any(_reads_score(arg) for arg in [*node.args, *(kw.value for kw in node.keywords)]):
-            self.score_sorts.append((self.module, self.scope[-1] if self.scope else None, node.lineno))
+            self.score_sorts.append(self._site(node))
+        if isinstance(func, ast.Name) and name == "dict" and RECORD_KEYS <= {kw.arg for kw in node.keywords}:
+            self.records.append(self._site(node))
+        self.generic_visit(node)
+
+    def visit_Dict(self, node: ast.Dict) -> None:
+        if RECORD_KEYS <= {key.value for key in node.keys if isinstance(key, ast.Constant)}:
+            self.records.append(self._site(node))
         self.generic_visit(node)
 
 
@@ -87,6 +107,25 @@ class TestOneCopyOfEachRule:
         )
         assert finder.score_sorts == [("metrics", "_sweep_order", 2), ("metrics", "nms", 4)]
         assert finder.sums == [("metrics", 6)]
+
+    def test_only_results_document_writes_a_record(self):
+        found = [hit for path in SOURCES for hit in _find(path.read_text(encoding="utf-8"), path.stem).records]
+        assert found and {(module, scope) for module, scope, _ in found} == {RECORD_WRITER_SITE}
+
+    def test_the_guard_sees_a_second_writer(self):
+        # The second writer the one writer replaced, and one spelled as a dict() call.
+        finder = _find(
+            "def _record_as_read(entry):\n"
+            "    return {\n"
+            "        'image_id': entry['image_id'], 'category_id': entry['category_id'],\n"
+            "        'bbox': [float(v) for v in entry['bbox']], 'score': float(entry['score']),\n"
+            "    }\n"
+            "def _survivor(det, bbox):\n"
+            "    return dict(image_id=det.image_id, category_id=det.class_id, bbox=bbox, score=det.score, id=7)\n"
+            "TEMPLATE = {'image_id': 0, 'category_id': 0, 'bbox': []}\n",
+            "cli",
+        )
+        assert finder.records == [("cli", "_record_as_read", 2), ("cli", "_survivor", 7)]
 
 
 # Scores that compare equal in several spellings (0, 0.0 and -0.0; 1 and 1.0), subnormals, and any in [0, 1].
