@@ -220,8 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # help or a usage error, printed by argparse: its output meets the reader here too
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()  # so a reader that has gone shows here, not in the interpreter's last flush
         return code

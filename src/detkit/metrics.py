@@ -3,8 +3,14 @@
 Every metric is a view over one matching pass: image and category ids are
 checked once, detections and truths are grouped once by (image, class), each
 same-group IOU is computed once, and one greedy rule matches at every threshold
-needed.  A detection matched at IOU 0.5 belongs to its truth's size band;
-other bands leave it out of both their ranking and their re-matching.
+needed.  A view is detection indices in key order (by class, by image, or one
+key for the global ranking), with a truth count per key.  A detection matched
+at IOU 0.5 belongs to its truth's size band, decided once per truth; other
+bands leave it out of both their ranking and their re-matching.
+
+match alone keeps its own pass over one (image, class) group.  As a view it
+would build the pass for every group of the set to answer for one, about four
+times the time per call.
 
 Alongside the usual per-class AP means (VOC-style mAP at IOU 0.5 and the
 COCO-style threshold sweep), this module provides two rank-sensitive
@@ -15,7 +21,6 @@ class-pooled APs taken per image.
 from __future__ import annotations
 
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -54,6 +59,9 @@ class ImageInfo:
     height: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.image_id, numbers.Real) and _is_whole(self.image_id)):
+            raise ValueError(f"image {self.image_id!r}: id must be a whole number")
+        object.__setattr__(self, "image_id", int(self.image_id))
         for name in ("width", "height"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and value > 0 and _is_whole(value)):
@@ -287,7 +295,9 @@ def match(
     the IOU reaches iou_threshold (IOU ties toward the lower truth index).
     Every detection is checked as the other views check it, whatever its
     image or class.  Raises UnknownImageError for an unregistered image id,
-    and ValueError for an undeclared class_id.
+    and ValueError for an undeclared class_id.  It matches only its own group
+    instead of reading the whole-set pass behind the other views, which would
+    cost about four times as much per call.
     """
     _check_inputs(detections, ground_truths, (iou_threshold,))
     if class_id not in ground_truths.categories:
@@ -360,21 +370,21 @@ def _split(members: np.ndarray, codes: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(codes[starts].tolist(), np.split(members[by_code], starts[1:])))
 
 
-_NO_DETECTIONS = np.zeros(0, dtype=np.intp)
-
-
 class _Evaluation:
     """The one matching pass behind every metric.
 
-    Image and category ids are checked once.  Detections, read as columns and
-    named by their input index, are grouped once by (image, class) in sweep
-    order, truths once by (image, class) in input order, and the IOU of every
-    same-group (detection, truth) pair is computed once.  A detection whose
-    IOUs all fall below the lowest threshold can match at no threshold, so its
-    row is dropped before matching; it still ranks as a false positive.
+    Image and category ids are checked once, and coded once by ascending id.
+    Detections, read as columns, are named by their input index and truths by
+    their position, image by image in input order.  Both are grouped once by
+    (image, class), the IOU of every same-group (detection, truth) pair is
+    computed once, and each truth's size band is decided once.  A detection
+    whose IOUs all fall below the lowest threshold can match at no threshold,
+    so its row is dropped before matching; it still ranks as a false positive.
     matched[t] maps the input index of each detection that took a truth at
-    threshold t to that truth.  Given class_id, only that class's detections
-    are ranked and matched; all are checked.
+    threshold t to that truth's position.  Every view is detection indices in
+    key order, a key per detection and a truth count per key.  Given class_id,
+    only that class's detections are ranked and matched (none for an undeclared
+    one); all are checked.
     """
 
     def __init__(
@@ -385,41 +395,35 @@ class _Evaluation:
         class_id: int | None = None,
     ) -> None:
         image_ids, class_ids, scores, centers, _ = _check_inputs(detections, ground_truths, thresholds)
-        self.size = len(scores)
-        # every truth, image by image in input order
-        self.truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
-        self.counts = Counter(gt.class_id for gt in self.truths)
-        images, classes = list(ground_truths.images), list(ground_truths.categories)
-        image_code, class_code = _codes(image_ids, images), _codes(class_ids, classes)
+        self.images, self.classes = sorted(ground_truths.images), sorted(ground_truths.categories)
+        truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
+        self.image_of, self.class_of = _codes(image_ids, self.images), _codes(class_ids, self.classes)
+        self.truth_image = _codes([gt.image_id for gt in truths], self.images)
+        self.truth_class = _codes([gt.class_id for gt in truths], self.classes)
+        self.truth_band = np.array([AREA_BANDS.index(area_band(gt.box)) for gt in truths], dtype=np.intp)
         self.order = np.array(_visit_order(scores), dtype=np.intp)
         if class_id is not None:
-            self.order = self.order[class_code[self.order] == classes.index(class_id)]
-        self.by_class = {classes[c]: dets for c, dets in _split(self.order, class_code[self.order]).items()}
-        self.by_image = {images[c]: dets for c, dets in _split(self.order, image_code[self.order]).items()}
+            scope = self.classes.index(class_id) if class_id in ground_truths.categories else -1
+            self.order = self.order[self.class_of[self.order] == scope]
+        self.by_class = self.order[np.argsort(self.class_of[self.order], kind="stable")]
+        self.by_image = self.order[np.argsort(self.image_of[self.order], kind="stable")]
         # (image, class) group codes of the detections in sweep order, and the truth positions of each group
-        group = image_code[self.order] * len(classes) + class_code[self.order]
-        truth_group = (
-            _codes([gt.image_id for gt in self.truths], images) * len(classes)
-            + _codes([gt.class_id for gt in self.truths], classes)
-        )
-        truths = _split(np.arange(len(self.truths)), truth_group)
-        judged = np.isin(group, list(truths))
-        rows, truth_rows = _corner_rows(centers), _corner_rows(_box_fields([gt.box for gt in self.truths]))
+        group = self.image_of[self.order] * len(self.classes) + self.class_of[self.order]
+        members = _split(np.arange(len(truths)), self.truth_image * len(self.classes) + self.truth_class)
+        judged = np.isin(group, list(members))
+        rows, truth_rows = _corner_rows(centers), _corner_rows(_box_fields([gt.box for gt in truths]))
         lowest = min(thresholds)
         # (detections, truths, IOU rows, columns taken from the start) per group holding both, over rows that can match
         self.groups = []
         with np.errstate(all="ignore"):
             for code, dets in _split(self.order[judged], group[judged]).items():
-                members = truths[code]
-                ious = _overlaps(rows[dets], truth_rows[members])
+                ious = _overlaps(rows[dets], truth_rows[members[code]])
                 reach = ious.max(axis=1) >= lowest
-                self.groups.append(
-                    (dets[reach].tolist(), [self.truths[g] for g in members.tolist()], ious[reach].tolist(), ())
-                )
+                self.groups.append((dets[reach].tolist(), members[code].tolist(), ious[reach].tolist(), ()))
         self.matched = {t: self._match(self.groups, t) for t in thresholds}
 
-    def _match(self, groups, iou_threshold: float) -> dict[int, GroundTruth]:
-        matched: dict[int, GroundTruth] = {}
+    def _match(self, groups, iou_threshold: float) -> dict[int, int]:
+        matched: dict[int, int] = {}
         for dets, truths, rows, taken in groups:
             for det, g in zip(dets, _greedy(rows, iou_threshold, taken)):
                 if g is not None:
@@ -427,42 +431,41 @@ class _Evaluation:
         return matched
 
     def _sweeps(
-        self,
-        swept: Mapping[int, np.ndarray],
-        matches: Sequence[Mapping[int, GroundTruth]],
-        counts: Mapping[int, int],
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per match map, the PR sweeps of the keys of counts (truth counts) in ascending key order.
+        self, index: np.ndarray, key_of: np.ndarray, counts: np.ndarray, matches: Sequence[Mapping[int, int]]
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """The keys that hold a truth, ascending, and per match map their PR sweeps.
 
-        Each is (recall, precision, lengths): the sweeps laid end to end, key
-        k's the next lengths[k] points.  swept[key] holds detection indices in
-        sweep order.
+        index holds detection indices in key order, sweep order within a key;
+        key_of[d] is detection d's key and counts[k] key k's truth count.  A
+        detection whose key holds no truth is dropped.  Each sweep is (recall,
+        precision, lengths): the keys' sweeps laid end to end, the k-th key's
+        the next lengths[k] points.
         """
-        keys = sorted(counts)
-        parts = [swept.get(k, _NO_DETECTIONS) for k in keys]
-        lengths = np.array([len(part) for part in parts], dtype=np.intp)
-        index = np.concatenate([_NO_DETECTIONS, *parts])
-        row = np.repeat(np.arange(len(keys)), lengths)
-        before = (np.cumsum(lengths) - lengths)[row]  # sweep positions ahead of each key's first
-        num_gt = np.array([counts[k] for k in keys], dtype=np.intp)[row]
+        lengths = np.bincount(key_of[index], minlength=len(counts))
+        index = index[np.repeat(counts > 0, lengths)]
+        keys = np.flatnonzero(counts)
+        lengths = lengths[keys]
+        before = np.repeat(np.cumsum(lengths) - lengths, lengths)  # sweep positions ahead of each key's first
+        num_gt = np.repeat(counts[keys], lengths)
         ranked = np.arange(len(index)) - before + 1  # tp + fp
         out = []
         for matched in matches:
-            taken = np.zeros(self.size, dtype=bool)
+            taken = np.zeros(len(key_of), dtype=bool)
             taken[np.fromiter(matched, np.intp, len(matched))] = True
             hits = np.cumsum(taken[index])
             tp = hits - np.concatenate(([0], hits))[before]
             out.append((tp / num_gt, tp / ranked, lengths))
-        return out
+        return keys, out
 
-    def _aps(self, swept, matches, counts: Mapping[int, int], interpolation: str) -> list[dict[int, float]]:
-        """Per match map, the AP of each key of counts in ascending key order (arguments as for _sweeps)."""
-        keys = sorted(counts)
-        sweeps = self._sweeps(swept, matches, counts)
-        return [dict(zip(keys, _ap_rows(*sweep, interpolation).tolist())) for sweep in sweeps]
+    def _aps(self, index, key_of, counts, matches, interpolation: str) -> tuple[list[int], list[list[float]]]:
+        """The keys that hold a truth, ascending, and per match map their APs (arguments as for _sweeps)."""
+        keys, sweeps = self._sweeps(index, key_of, counts, matches)
+        return keys.tolist(), [_ap_rows(*sweep, interpolation).tolist() for sweep in sweeps]
 
     def class_aps(self, iou_threshold: float, interpolation: str) -> dict[int, float]:
-        return self._aps(self.by_class, [self.matched[iou_threshold]], self.counts, interpolation)[0]
+        counts = np.bincount(self.truth_class, minlength=len(self.classes))
+        keys, (aps,) = self._aps(self.by_class, self.class_of, counts, [self.matched[iou_threshold]], interpolation)
+        return {self.classes[k]: ap for k, ap in zip(keys, aps)}
 
     def coco(self, band: str | None = None) -> CocoAPResult:
         """The COCO family, over every truth or over one size band's scope.
@@ -471,33 +474,36 @@ class _Evaluation:
         IOU 0.5, and a re-match on the same IOU rows with the other bands'
         truths taken from the start.
         """
-        swept, matched, counts = self.by_class, self.matched, self.counts
+        index, matched, truth_class = self.by_class, self.matched, self.truth_class
         if band is not None:
-            owned = np.zeros(self.size, dtype=bool)
-            owned[[index for index, truth in self.matched[0.5].items() if area_band(truth.box) != band]] = True
+            bands, code = self.truth_band.tolist(), AREA_BANDS.index(band)
+            owned = np.zeros(len(self.class_of), dtype=bool)
+            owned[[det for det, truth in self.matched[0.5].items() if bands[truth] != code]] = True
             groups = []
-            for dets, truths, rows, _ in self.groups:
-                others = {g for g, gt in enumerate(truths) if area_band(gt.box) != band}
-                if len(others) < len(truths):
+            for dets, members, rows, _ in self.groups:
+                others = {g for g, truth in enumerate(members) if bands[truth] != code}
+                if len(others) < len(members):
                     rest = [(det, row) for det, row in zip(dets, rows) if not owned[det]]
-                    groups.append(([det for det, _ in rest], truths, [row for _, row in rest], others))
+                    groups.append(([det for det, _ in rest], members, [row for _, row in rest], others))
             matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
-            counts = Counter(gt.class_id for gt in self.truths if area_band(gt.box) == band)
-            swept = {c: dets[~owned[dets]] for c, dets in self.by_class.items() if c in counts}
-        per_class = self._aps(swept, [matched[t] for t in COCO_IOU_THRESHOLDS], counts, "101-point")
-        by_threshold = {t: _mean(list(aps.values())) for t, aps in zip(COCO_IOU_THRESHOLDS, per_class)}
-        ap = _mean(list(by_threshold.values())) if counts else None
+            index, truth_class = index[~owned[index]], truth_class[self.truth_band == code]
+        counts = np.bincount(truth_class, minlength=len(self.classes))
+        keys, per_class = self._aps(index, self.class_of, counts, [matched[t] for t in COCO_IOU_THRESHOLDS], "101-point")
+        by_threshold = {t: _mean(aps) for t, aps in zip(COCO_IOU_THRESHOLDS, per_class)}
+        ap = _mean(list(by_threshold.values())) if keys else None
         return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
 
     def global_ap(self, iou_threshold: float) -> float | None:
-        if not self.truths:
+        if len(self.truth_class) == 0:
             return None
-        return self._aps({0: self.order}, [self.matched[iou_threshold]], {0: len(self.truths)}, "continuous")[0][0]
+        one_key, count = np.zeros(len(self.class_of), dtype=np.intp), np.array([len(self.truth_class)])
+        _, ((ap,),) = self._aps(self.order, one_key, count, [self.matched[iou_threshold]], "continuous")
+        return ap
 
     def per_image_ap(self, iou_threshold: float) -> float | None:
-        counts = Counter(gt.image_id for gt in self.truths)
-        return _mean(list(self._aps(self.by_image, [self.matched[iou_threshold]], counts, "continuous")[0].values()))
-
+        counts = np.bincount(self.truth_image, minlength=len(self.images))
+        _, (aps,) = self._aps(self.by_image, self.image_of, counts, [self.matched[iou_threshold]], "continuous")
+        return _mean(aps)
 
 
 def pr_curve(
@@ -513,13 +519,14 @@ def pr_curve(
     classes from any mean).  Every detection is checked, but only the class's
     own are matched.
     """
-    _check_inputs(detections, ground_truths, (iou_threshold,))
+    evaluation = _Evaluation(detections, ground_truths, (iou_threshold,), class_id)
     num_gt = ground_truths.class_count(class_id)
     if num_gt == 0:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
-    evaluation = _Evaluation(detections, ground_truths, (iou_threshold,), class_id)
-    sweeps = evaluation._sweeps(evaluation.by_class, [evaluation.matched[iou_threshold]], {class_id: num_gt})
-    recall, precision, _ = sweeps[0]
+    counts = np.bincount(evaluation.truth_class, minlength=len(evaluation.classes))
+    _, ((recall, precision, _),) = evaluation._sweeps(
+        evaluation.order, evaluation.class_of, counts, [evaluation.matched[iou_threshold]]
+    )
     return PRCurve(tuple(zip(recall.tolist(), precision.tolist())), num_gt)
 
 

@@ -572,14 +572,18 @@ class TestTopLevel:
         assert result.returncode == 0
         assert result.stdout == "depth\t255\ntotal\t43095\n"
 
-    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-    def test_a_closed_pipe_is_not_a_data_error(self, unbuffered):
+    @pytest.mark.parametrize("unbuffered, argv", [
+        pytest.param(unbuffered, argv, id=mode + suffix)
+        for argv, suffix in ((["demo", "map-pathology"], ""), (["--help"], "-help"), (["eval", "--help"], "-eval-help"))
+        for unbuffered, mode in (("1", "unbuffered"), ("", "buffered"))
+    ])
+    def test_a_closed_pipe_is_not_a_data_error(self, unbuffered, argv):
         # A buffered stdout meets the closed pipe at its last flush, an unbuffered one at the first print.
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader has gone before the command writes
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "detkit.cli", "demo", "map-pathology"],
+                [sys.executable, "-m", "detkit.cli", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONUNBUFFERED": unbuffered},

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -639,6 +640,23 @@ class TestAreaBands:
         with pytest.raises(ValueError):
             ap_by_area(dets, truths, "huge")
 
+    def test_each_truth_is_banded_once_per_evaluate(self, monkeypatch):
+        # a small, a medium and a large truth on two images, each found; the five views that read bands share one decision
+        truths = _truths([(1, 1, (0, 0, 10, 10)), (1, 2, (0, 0, 40, 40)), (2, 1, (0, 0, 99, 99)), (2, 2, (5, 5, 25, 25))])
+        dets = _dets([(1, 1, 0.9, (0, 0, 10, 10)), (1, 2, 0.8, (1, 1, 40, 40)), (2, 1, 0.7, (0, 0, 98, 99)),
+                      (2, 2, 0.6, (60, 60, 80, 80))])
+        calls = []
+        banded = metrics.area_band
+
+        def counting(box):
+            calls.append(box)
+            return banded(box)
+
+        monkeypatch.setattr(metrics, "area_band", counting)
+        report = evaluate(dets, truths)
+        assert None not in (report.ap_small, report.ap_medium, report.ap_large)
+        assert len(calls) == truths.total_count
+
 
 class TestGlobalAp:
     def test_cross_class_pooling_with_class_correct_matching(self):
@@ -863,6 +881,17 @@ class TestImageInfo:
     def test_rejects_non_numbers(self, width, height, message):
         with pytest.raises(ValueError, match=rf"^image 1: {message}$"):
             ImageInfo(1, width, height)
+
+    def test_whole_valued_float_id_becomes_int(self):
+        info = ImageInfo(2.0, 100, 100)
+        assert info == ImageInfo(2, 100, 100)
+        assert type(info.image_id) is int
+
+    @pytest.mark.parametrize("image_id", ["a", None, "1", 1.5, math.nan, math.inf])
+    def test_rejects_an_id_that_is_not_a_whole_number(self, image_id):
+        # an id of another type would break the engine's ordering of images, and a fractional one be scored silently
+        with pytest.raises(ValueError, match=rf"^image {re.escape(repr(image_id))}: id must be a whole number$"):
+            ImageInfo(image_id, 100, 100)
 
     def test_whole_valued_float_sizes_become_ints(self):
         info = ImageInfo(1, 640.0, 480.0)

@@ -60,6 +60,10 @@ PATHOLOGY_JSON = (
     "}\n"
 )
 
+# Every public metric view over tests/oracles.py's random scenarios, seeds 0-299.  Views that agree bit for bit
+# on every interpreter and numpy version print this digest; a change that moves any last bit does not.
+VIEW_DIGEST_0_299 = "c6f0f444be7d79dca597ea0d20b2558e61f4dbba3432424c8c9704d0c7ae30af"
+
 
 @pytest.mark.parametrize("fmt, want", [("tsv", PATHOLOGY_TSV), ("json", PATHOLOGY_JSON)])
 def test_pathology_report_golden(tmp_path, fmt, want):
@@ -69,3 +73,21 @@ def test_pathology_report_golden(tmp_path, fmt, want):
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == want
+
+
+def _run(tmp_path, script, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], cwd=tmp_path, capture_output=True, text=True, check=False,
+    )
+
+
+def test_view_digest_is_pinned(tmp_path):
+    run = _run(tmp_path, "view_digest.py", "--seeds", "0-299")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == f"{VIEW_DIGEST_0_299}  300 scenarios\n"
+
+
+def test_view_digest_reads_a_seed_list(tmp_path):
+    spelled = [_run(tmp_path, "view_digest.py", "--seeds", seeds).stdout for seeds in ("0-2,5", "0,1,2,5", "0-3")]
+    assert spelled[0] == spelled[1] != spelled[2]
+    assert spelled[0].endswith("  4 scenarios\n")
