@@ -123,10 +123,10 @@ def _plusplus_init(dims: np.ndarray, k: int, rng: np.random.Generator, mode: str
     chosen = [int(rng.integers(n))]
     d2 = _distances(dims, dims[chosen[-1]][None, :], mode)[:, 0] ** 2
     while len(chosen) < k:
-        total = d2.sum()
-        # k <= number of distinct samples guarantees some positive weight remains.
-        probs = d2 / total
-        chosen.append(int(rng.choice(n, p=probs)))
+        # Distinct sizes can still lie at distance 0.0, as 1 x 1 and 1 x 1.0000000000000002 do under IOU;
+        # once every weight is 0, any size not chosen yet may come next (k <= the distinct count leaves one).
+        weights = d2 if d2.any() else ~(dims[:, None] == dims[chosen]).all(axis=2).any(axis=1)
+        chosen.append(int(rng.choice(n, p=weights / weights.sum())))
         new_d2 = _distances(dims, dims[chosen[-1]][None, :], mode)[:, 0] ** 2
         d2 = np.minimum(d2, new_d2)
     return dims[chosen].copy()

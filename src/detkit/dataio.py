@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .anchors import DimensionSample, DimensionSamples
-from .geometry import Box, ScoredBox
+from .geometry import Box, ScoredBox, _box_ok, _center_form, _score_ok
 from .metrics import (
     Detection,
     DetectionResultSet,
@@ -236,11 +236,13 @@ def _results_set(path: str | Path, doc, ground_truths: GroundTruthSet) -> Detect
 def _result_columns(doc: list, registry: GroundTruthSet):
     """(image ids, category ids, scores, center-form boxes, bboxes as read) of doc's records, or None unless every record passes the walk.
 
-    Types are compared exactly, so a bool, which json reads for true and
-    false, is refused as the walk refuses it.  An int beyond the float range
-    is refused too: the walk reads it as an infinity, which no rule admits.
-    The Box and ScoredBox rules run once on float64 columns, with Box's
-    arithmetic.
+    Only the file's own rules are checked here: exact types, bbox arity and
+    the float range.  Types are compared exactly, so a bool, which json reads
+    for true and false, is refused as the walk refuses it.  An int beyond the
+    float range is refused too: the walk reads it as an infinity, which no
+    rule admits.  The registry test, the center form, the Box rule and the
+    score rule are their owners' (GroundTruthSet and geometry), run once on
+    whole columns.
     """
     if not set(map(type, doc)) <= {dict}:
         return None
@@ -250,9 +252,8 @@ def _result_columns(doc: list, registry: GroundTruthSet):
     bboxes = [entry.get("bbox") for entry in doc]
     if not (
         set(map(type, image_ids)) <= {int}
-        and registry.images.keys() >= set(image_ids)
         and set(map(type, class_ids)) <= {int}
-        and registry.categories.keys() >= set(class_ids)
+        and registry._registers(image_ids, class_ids)
         and set(map(type, scores)) <= {int, float}
         and set(map(type, bboxes)) <= {list}
         and set(map(len, bboxes)) <= {4}
@@ -266,17 +267,10 @@ def _result_columns(doc: list, registry: GroundTruthSet):
         score = np.array(scores, dtype=np.float64)
     except OverflowError:
         return None
-    left, top, width, height = bbox_rows.T
-    centers = np.column_stack([left + width / 2.0, top + height / 2.0, width, height])
+    centers = np.column_stack(_center_form(*bbox_rows.T))
     with np.errstate(all="ignore"):
-        far = np.abs(centers[:, :2]) + centers[:, 2:] / 2.0
-        area = width * height
-    if not (
-        np.all(width > 0.0) and np.all(height > 0.0) and np.isfinite(far).all()
-        and np.all(area > 0.0) and np.all(area < math.inf)
-        and np.all(score >= 0.0) and np.all(score <= 1.0)
-    ):
-        return None
+        if not (_box_ok(*centers.T).all() and _score_ok(score).all()):
+            return None
     return image_ids, class_ids, score, centers, bbox_rows
 
 

@@ -59,9 +59,33 @@ def _store_floats(obj: object, names: Sequence[str]) -> None:
             object.__setattr__(obj, name, float(value))
 
 
+def _box_ok(center_x, center_y, width, height):
+    """The Box rule, on four numbers or elementwise on four arrays: sizes positive, far corners finite, area in (0, inf).
+
+    On each axis the farther edge lies |center| + half the size from 0.  The
+    terms run left to right on numbers too, sizes first, so a field that is
+    not a number raises the TypeError of the first term that reads it.  Run
+    it on arrays under np.errstate(all="ignore").
+    """
+    return (
+        (width > 0.0) & (height > 0.0) & (abs(center_x) + width / 2.0 < math.inf)
+        & (abs(center_y) + height / 2.0 < math.inf) & (0.0 < width * height) & (width * height < math.inf)
+    )
+
+
+def _score_ok(score):
+    """The score rule, on a number or elementwise on an array: score in [0, 1]."""
+    return (0.0 <= score) & (score <= 1.0)
+
+
+def _center_form(left, top, width, height):
+    """(center_x, center_y, width, height) of a (left, top, width, height) box, on numbers or elementwise on arrays."""
+    return left + width / 2.0, top + height / 2.0, width, height
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in center form: finite fields and corners, positive finite area.
+    """Axis-aligned rectangle in center form, obeying _box_ok: finite fields and corners, positive finite area.
 
     Python ints and floats are stored as given; any other number as float.
     """
@@ -72,22 +96,19 @@ class Box:
     height: float
 
     def __post_init__(self) -> None:
-        if not (
-            type(self.center_x) in _PLAIN_NUMBERS
-            and type(self.center_y) in _PLAIN_NUMBERS
-            and type(self.width) in _PLAIN_NUMBERS
-            and type(self.height) in _PLAIN_NUMBERS
-        ):
+        if not (type(self.center_x) is type(self.center_y) is type(self.width) is type(self.height) is float):
             _store_floats(self, ("center_x", "center_y", "width", "height"))
+        try:
+            if _box_ok(self.center_x, self.center_y, self.width, self.height):
+                return
+        except OverflowError:  # an int field beyond the float range, which no box admits
+            pass
+        # The rule failed: name the first thing wrong.
         if not (self.width > 0.0):
             raise ValueError(f"box width must be positive, got {self.width!r}")
         if not (self.height > 0.0):
             raise ValueError(f"box height must be positive, got {self.height!r}")
-        # On each axis the farther edge lies |center| + half the size from 0.
-        far_x = abs(self.center_x) + self.width / 2.0
-        far_y = abs(self.center_y) + self.height / 2.0
-        if not (math.isfinite(far_x) and math.isfinite(far_y) and 0.0 < self.width * self.height < math.inf):
-            raise ValueError(f"box corners must be finite and area positive and finite, got {self!r}")
+        raise ValueError(f"box corners must be finite and area positive and finite, got {self!r}")
 
     @property
     def left(self) -> float:
@@ -120,7 +141,7 @@ class Box:
     @classmethod
     def from_corner_size(cls, left: float, top: float, width: float, height: float) -> "Box":
         """Build from the (left, top, width, height) convention used by dataset files."""
-        return cls(left + width / 2.0, top + height / 2.0, width, height)
+        return cls(*_center_form(left, top, width, height))
 
 
 @dataclass(frozen=True)
@@ -137,7 +158,7 @@ class ScoredBox:
     def __post_init__(self) -> None:
         if type(self.score) not in _PLAIN_NUMBERS:
             _store_floats(self, ("score",))
-        if not (0.0 <= self.score <= 1.0):
+        if not _score_ok(self.score):
             raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id!r}")
@@ -251,16 +272,17 @@ def _sum_in_order(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float, taken: Iterable[int] = ()) -> list[int | None]:
+def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
     """The greedy matching rule: each row in turn claims a column.
 
     Row i takes the still-free column of highest IOU, provided that IOU
     reaches iou_threshold and exceeds -1 (NaN never does); the strict
-    comparison sends IOU ties to the lower column.  Columns in taken are never
-    free.  Returns each row's column, or None.  Evaluation runs it with
-    detections as rows in sweep order, prior assignment with truths as rows.
+    comparison sends IOU ties to the lower column.  Returns each row's
+    column, or None.  Evaluation runs it with detections as rows in sweep
+    order, a size band on the columns of its own truths alone; prior
+    assignment runs it with truths as rows.
     """
-    taken = set(taken)
+    taken: set[int] = set()
     out: list[int | None] = []
     for row in rows:
         best = None

@@ -101,7 +101,7 @@ class GroundTruthSet:
         declared = categories.items() if named else ((c, None) for c in categories)
         self._categories: dict[int, str] = {}
         for category_id, name in declared:
-            if not (category_id >= 0 and _is_whole(category_id)):
+            if not (isinstance(category_id, numbers.Real) and category_id >= 0 and _is_whole(category_id)):
                 raise ValueError(f"category {category_id}: id must be a non-negative whole number")
             category_id = int(category_id)
             self._categories[category_id] = name if named else str(category_id)
@@ -145,6 +145,10 @@ class GroundTruthSet:
 
     def classes_with_truth(self) -> tuple[int, ...]:
         return tuple(sorted(self._class_totals))
+
+    def _registers(self, image_ids: Iterable, class_ids: Iterable) -> bool:
+        """True when every id of image_ids is a registered image and every one of class_ids a declared category."""
+        return self._images.keys() >= set(image_ids) and self._categories.keys() >= set(class_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundTruthSet):
@@ -346,12 +350,11 @@ def _check_inputs(detections: DetectionResultSet, ground_truths: GroundTruthSet,
     for threshold in thresholds:
         _check_threshold(threshold)
     columns = detections._column_view()
-    images, categories = ground_truths.images.keys(), ground_truths.categories.keys()
-    if not (images >= set(columns.image_ids) and categories >= set(columns.class_ids)):
+    if not ground_truths._registers(columns.image_ids, columns.class_ids):
         for image_id, class_id in zip(columns.image_ids, columns.class_ids):  # name the first bad detection
-            if image_id not in images:
+            if image_id not in ground_truths.images:
                 raise UnknownImageError(image_id)
-            if class_id not in categories:
+            if class_id not in ground_truths.categories:
                 raise ValueError(f"detection references unknown category {class_id}")
     return columns
 
@@ -413,19 +416,19 @@ class _Evaluation:
         judged = np.isin(group, list(members))
         rows, truth_rows = _corner_rows(centers), _corner_rows(_box_fields([gt.box for gt in truths]))
         lowest = min(thresholds)
-        # (detections, truths, IOU rows, columns taken from the start) per group holding both, over rows that can match
+        # (detections, truth positions, IOU rows) per group holding both, over rows that can match
         self.groups = []
         with np.errstate(all="ignore"):
             for code, dets in _split(self.order[judged], group[judged]).items():
                 ious = _overlaps(rows[dets], truth_rows[members[code]])
                 reach = ious.max(axis=1) >= lowest
-                self.groups.append((dets[reach].tolist(), members[code].tolist(), ious[reach].tolist(), ()))
+                self.groups.append((dets[reach].tolist(), members[code].tolist(), ious[reach].tolist()))
         self.matched = {t: self._match(self.groups, t) for t in thresholds}
 
     def _match(self, groups, iou_threshold: float) -> dict[int, int]:
         matched: dict[int, int] = {}
-        for dets, truths, rows, taken in groups:
-            for det, g in zip(dets, _greedy(rows, iou_threshold, taken)):
+        for dets, truths, rows in groups:
+            for det, g in zip(dets, _greedy(rows, iou_threshold)):
                 if g is not None:
                     matched[det] = truths[g]
         return matched
@@ -471,8 +474,9 @@ class _Evaluation:
         """The COCO family, over every truth or over one size band's scope.
 
         A band's scope is its truths, the detections that no other band owns at
-        IOU 0.5, and a re-match on the same IOU rows with the other bands'
-        truths taken from the start.
+        IOU 0.5, and a re-match on the same IOU rows cut to the columns of the
+        band's truths, kept in order so that IOU ties still go to the lower
+        truth.
         """
         index, matched, truth_class = self.by_class, self.matched, self.truth_class
         if band is not None:
@@ -480,11 +484,11 @@ class _Evaluation:
             owned = np.zeros(len(self.class_of), dtype=bool)
             owned[[det for det, truth in self.matched[0.5].items() if bands[truth] != code]] = True
             groups = []
-            for dets, members, rows, _ in self.groups:
-                others = {g for g, truth in enumerate(members) if bands[truth] != code}
-                if len(others) < len(members):
-                    rest = [(det, row) for det, row in zip(dets, rows) if not owned[det]]
-                    groups.append(([det for det, _ in rest], members, [row for _, row in rest], others))
+            for dets, members, rows in self.groups:
+                cols = [g for g, truth in enumerate(members) if bands[truth] == code]
+                if cols:
+                    rest = [(det, [row[g] for g in cols]) for det, row in zip(dets, rows) if not owned[det]]
+                    groups.append(([det for det, _ in rest], [members[g] for g in cols], [row for _, row in rest]))
             matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
             index, truth_class = index[~owned[index]], truth_class[self.truth_band == code]
         counts = np.bincount(truth_class, minlength=len(self.classes))

@@ -166,6 +166,15 @@ class TestKmeansAnchors:
         enough = np.concatenate([dims, [[50.0, 50.0]]])
         assert len(kmeans_anchors(DimensionSamples(enough), k).centroids) == k
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_sizes_at_distance_zero_still_seed(self, seed):
+        # 1 x 1 and 1 x 1.0000000000000002 are distinct, but their IOU rounds to 1.0: once 1 x 1 is
+        # chosen every seeding weight is 0, and the other size must still become the second centroid.
+        samples = [DimensionSample(1.0, 1.0)] * 5 + [DimensionSample(1.0, 1.0000000000000002)]
+        result = kmeans_anchors(samples, k=2, seed=seed)
+        assert len(result.centroids) == 2
+        assert all(later <= earlier for earlier, later in zip(result.objective_history, result.objective_history[1:]))
+
     def test_k_equals_distinct_samples(self):
         samples = [
             DimensionSample(10.0, 20.0),

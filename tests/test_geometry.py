@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import assert_boxes_close, boxes, canvas_boxes, finite_floats, scored_boxes
 from detkit import Box, DetectionResultSet, ScoredBox, dump_results, geometry, iou, nms
@@ -139,6 +140,66 @@ class TestNumericStorage:
             Box("1", 2.0, 3.0, 4.0)
         with pytest.raises(TypeError):
             ScoredBox(Box(1.0, 2.0, 3.0, 4.0), "0.5", 0)
+
+    @pytest.mark.parametrize(
+        "fields", [(0, 0, 10**400, 1), (0, 0, 1, 10**400), (10**400, 0, 1, 1), (0, -(10**400), 1, 1)],
+        ids=["width", "height", "center-x", "center-y"],
+    )
+    def test_int_beyond_the_float_range_is_rejected_by_the_rule(self, fields):
+        # Such an int has no float: the Box rule cannot read it, and no box admits it.
+        with pytest.raises(ValueError, match="finite"):
+            Box(*fields)
+
+
+# Values at the edges of the Box and score rules: NaN, the infinities, both zeros,
+# the smallest subnormal, and far corners or areas near the float maximum.
+_rule_edges = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e154, 1e308, -1e308,
+    8.98846567431158e307, 1.7976931348623157e308, 0.5, 1.0, 1.0000000000000002,
+])
+_rule_values = _rule_edges | st.floats(-1e3, 1e3)
+# A square side whose area is near the float maximum or below the smallest subnormal.
+_square_sides = st.sampled_from([1e154, 1.3407807929942596e154, 1.35e154, 1e-162, 3e-162])
+_bbox_rows = st.tuples(_rule_values, _rule_values, _rule_values, _rule_values) | st.builds(
+    lambda left, top, side: (left, top, side, side), _rule_values, _rule_values, _square_sides
+)
+_bbox_columns = st.lists(_bbox_rows, max_size=12).map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, 4))
+
+
+def _accepted(make, *args) -> bool:
+    try:
+        make(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestValueRulesOnColumns:
+    """The Box rule, the score rule and the center form, run on whole columns, agree row by row with the types."""
+
+    @given(_bbox_columns)
+    @example(np.array([
+        [1e308, 0.0, 1e308, 1.0], [0.0, 0.0, 1e154, 1e154], [0.0, 0.0, 1.35e154, 1.35e154],
+        [-0.0, 5e-324, 5e-324, 5e-324], [0.0, 0.0, math.nan, 1.0], [-math.inf, 0.0, 1.0, 1.0],
+    ]))
+    def test_box_rule_and_center_form(self, bboxes):
+        with np.errstate(all="ignore"):
+            centers = np.column_stack(geometry._center_form(*bboxes.T))
+            verdicts = geometry._box_ok(*centers.T)
+        assert verdicts.shape == (len(bboxes),)
+        for bbox, fields, verdict in zip(bboxes.tolist(), centers.tolist(), verdicts.tolist()):
+            assert verdict == _accepted(Box.from_corner_size, *bbox) == _accepted(Box, *fields), bbox
+            if verdict:
+                box = Box.from_corner_size(*bbox)
+                assert [v.hex() for v in (box.center_x, box.center_y, box.width, box.height)] == [v.hex() for v in fields]
+
+    @given(hnp.arrays(np.float64, st.integers(0, 12), elements=_rule_values | st.floats(-2.0, 2.0)))
+    def test_score_rule(self, scores):
+        verdicts = geometry._score_ok(scores)
+        assert verdicts.shape == scores.shape
+        box = Box(0.0, 0.0, 1.0, 1.0)
+        for score, verdict in zip(scores.tolist(), verdicts.tolist()):
+            assert verdict == _accepted(ScoredBox, box, score, 0), score
 
 
 class TestIou:

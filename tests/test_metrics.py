@@ -627,6 +627,19 @@ class TestAreaBands:
         assert ap_by_area(dets, truths, "small") == 1.0
         assert evaluate(dets, truths).ap_small == 1.0
 
+    def test_band_rematch_sends_iou_ties_to_the_lower_truth(self):
+        # the 0.9 detection reaches IOU 0.5 with both small truths; the small band's
+        # re-match, cut to their columns, must give it the lower one, as a whole scope does
+        small = [(1, 1, (5, 5, 15, 15)), (1, 1, (15, 5, 25, 15))]
+        medium = (1, 1, (0, 40, 60, 100))
+        tie, exact = (1, 1, 0.9, (5, 5, 25, 15)), (1, 1, 0.8, (5, 5, 15, 15))
+        truths = _truths([small[0], medium, small[1]])
+        dets = _dets([tie, exact, (1, 1, 0.7, medium[2])])
+        want = coco_ap(_dets([tie, exact]), _truths(small)).ap
+        assert ap_by_area(dets, truths, "small") == want
+        # the other truth order would give the tie to the other truth, and a higher AP
+        assert want < coco_ap(_dets([tie, exact]), _truths(small[::-1])).ap
+
     def test_unmatched_overlap_stays_false_positive(self):
         truths = _truths([(1, 1, (0, 0, 10, 10)), (1, 1, (100, 100, 300, 300))])
         dets = _dets([
@@ -847,8 +860,8 @@ class TestRegistryValidation:
 
     @pytest.mark.parametrize(
         "categories",
-        [[1.5, 2.9], {1.5: "a"}, [math.nan], {math.nan: "a"}],
-        ids=["fractional-list", "fractional-mapping", "nan-list", "nan-mapping"],
+        [[1.5, 2.9], {1.5: "a"}, [math.nan], {math.nan: "a"}, ["a"], [None], {"a": "x"}],
+        ids=["fractional-list", "fractional-mapping", "nan-list", "nan-mapping", "str-list", "none-list", "str-mapping"],
     )
     def test_rejects_fractional_or_nan_category_id(self, categories):
         with pytest.raises(ValueError, match="non-negative whole number"):
