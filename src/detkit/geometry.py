@@ -220,32 +220,34 @@ def _corner_rows(fields: np.ndarray) -> np.ndarray:
 
 
 def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """IOU matrix of two arrays of corner rows: [i, j] is the iou of row box i and column box j.
+    """IOUs of corner rows, in the shape rows[..., k] and cols[..., k] broadcast to.
 
+    Given two (n, 5) arrays, the IOU of each pair; given rows[:, None] and
+    cols, the matrix whose [i, j] is the iou of row box i and column box j.
     Every entry is the float iou gives, by iou's arithmetic elementwise.  A
     pair without a positive intersection reads 0.0 even where both corner
-    areas are 0.0: the union is 0.0 only where the intersection is, so a
-    floor of the smallest positive float on the divisor changes no other
-    quotient.  Where the two areas' sum overflows, the intersection and both
-    areas are halved first: that is exact at such sizes, and the halved sum
-    cannot overflow.  Run it under np.errstate(all="ignore").
+    areas are 0.0: the union is 0.0 only where the intersection is, so a floor
+    of the smallest positive float on the divisor changes no other quotient.
+    Where the two areas' sum overflows, the intersection and both areas are
+    halved first: that is exact at such sizes, and the halved sum cannot
+    overflow.  Run it under np.errstate(all="ignore").
     """
-    left, top, right, bottom, area = (rows[:, k, None] for k in range(5))
-    inter_w = np.minimum(right, cols[:, 2]) - np.maximum(left, cols[:, 0])
-    inter_h = np.minimum(bottom, cols[:, 3]) - np.maximum(top, cols[:, 1])
+    left, top, right, bottom, area = (rows[..., k] for k in range(5))
+    inter_w = np.minimum(right, cols[..., 2]) - np.maximum(left, cols[..., 0])
+    inter_h = np.minimum(bottom, cols[..., 3]) - np.maximum(top, cols[..., 1])
     inter = np.maximum(inter_w, 0.0) * np.maximum(inter_h, 0.0)
-    union = area + cols[:, 4] - inter
+    union = area + cols[..., 4] - inter
     if not union.max(initial=0.0) < math.inf:  # a NaN entry makes the maximum NaN, so no overflow is missed
         huge = union == math.inf
         inter = np.where(huge, inter / 2.0, inter)
-        union = np.where(huge, area / 2.0 + cols[:, 4] / 2.0 - inter, union)
+        union = np.where(huge, area / 2.0 + cols[..., 4] / 2.0 - inter, union)
     return inter / np.maximum(union, 5e-324)
 
 
-def _iou_lists(rows: Sequence[Box], cols: Sequence[Box]) -> list[list[float]]:
-    """[i][j] is iou(rows[i], cols[j]), every entry from one IOU matrix."""
+def _iou_matrix(rows: Sequence[Box], cols: Sequence[Box]) -> np.ndarray:
+    """The (len(rows), len(cols)) float64 IOU matrix: [i, j] is iou(rows[i], cols[j])."""
     with np.errstate(all="ignore"):
-        return _overlaps(_corner_rows(_box_fields(rows)), _corner_rows(_box_fields(cols))).tolist()
+        return _overlaps(_corner_rows(_box_fields(rows))[:, None], _corner_rows(_box_fields(cols)))
 
 
 def _visit_order(items: Sequence | np.ndarray) -> list[int]:
@@ -272,29 +274,39 @@ def _sum_in_order(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
-    """The greedy matching rule: each row in turn claims a column.
+def _ranked(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The one pair order: positions of pairs (rows[k], cols[k]) by row, then descending value, then lower column."""
+    return np.lexsort((cols, -values, rows))
 
-    Row i takes the still-free column of highest IOU, provided that IOU
-    reaches iou_threshold and exceeds -1 (NaN never does); the strict
-    comparison sends IOU ties to the lower column.  Returns each row's
-    column, or None.  Evaluation runs it with detections as rows in sweep
-    order, a size band on the columns of its own truths alone; prior
-    assignment runs it with truths as rows.
+
+def _greedy(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The one greedy match scan: each row in turn claims the first still-free column among its candidates.
+
+    Candidate pairs come as _ranked orders them: grouped by row, rows in visit
+    order, each row's best first.  Returns the claiming pairs' positions.
     """
+    claims: list[int] = []
     taken: set[int] = set()
-    out: list[int | None] = []
-    for row in rows:
-        best = None
-        best_value = -1.0
-        for g, value in enumerate(row):
-            if value >= iou_threshold and value > best_value and g not in taken:
-                best_value = value
-                best = g
-        out.append(best)
-        if best is not None:
-            taken.add(best)
-    return out
+    last = None
+    for k, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if row != last and col not in taken:
+            taken.add(col)
+            last = row
+            claims.append(k)
+    return np.array(claims, dtype=np.intp)
+
+
+def _greedy_matrix(values: np.ndarray, iou_threshold: float) -> list[int | None]:
+    """Each row's column or None, by _greedy over a 2-D float64 matrix's entries that reach iou_threshold and exceed -1.
+
+    NaN never does.  match runs it with detections as rows in visit order,
+    prior assignment with truths as rows.
+    """
+    rows, cols = np.nonzero((values >= iou_threshold) & (values > -1.0))
+    ranked = _ranked(rows, cols, values[rows, cols])
+    claims = ranked[_greedy(rows[ranked], cols[ranked])]
+    column = dict(zip(rows[claims].tolist(), cols[claims].tolist()))
+    return [column.get(row) for row in range(len(values))]
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
@@ -310,7 +322,7 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     while alive.size:
         size = min(len(alive), _NMS_BLOCK)
         alive_boxes = boxes[alive]
-        over = ~(_overlaps(alive_boxes[:size], alive_boxes) <= iou_threshold)
+        over = ~(_overlaps(alive_boxes[:size, None], alive_boxes) <= iou_threshold)
         struck = [False] * size
         pairs = np.nonzero(over[:, :size] & _LATER_IN_BLOCK[:size, :size])
         for i, j in zip(*(p.tolist() for p in pairs)):  # row-major: i is settled before it strikes

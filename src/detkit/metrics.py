@@ -1,12 +1,12 @@
 """Detection evaluation: greedy matching, PR curves, and the AP metric family.
 
-Every metric is a view over one matching pass: image and category ids are
-checked once, detections and truths are grouped once by (image, class), each
-same-group IOU is computed once, and one greedy rule matches at every threshold
-needed.  A view is detection indices in key order (by class, by image, or one
-key for the global ranking), with a truth count per key.  A detection matched
-at IOU 0.5 belongs to its truth's size band, decided once per truth; other
-bands leave it out of both their ranking and their re-matching.
+Every metric is a view over one matching pass: ids are checked once, the IOU
+of every same-(image, class) (detection, truth) pair is computed once into
+one pair table, and one greedy scan over it matches at every threshold.  A
+view is detection indices in key order (by class, by image, or one key for
+the global ranking), with a truth count per key.  A detection matched at IOU
+0.5 belongs to its truth's size band, decided once per truth; other bands
+mask it out of both their ranking and their re-matching.
 
 match alone keeps its own pass over one (image, class) group.  As a view it
 would build the pass for every group of the set to answer for one, about four
@@ -28,8 +28,8 @@ import numpy as np
 
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
 from .geometry import (  # noqa: F401
-    Box, ScoredBox, _box_fields, _check_threshold, _corner_rows, _greedy, _iou_lists, _is_whole, _overlaps, _positive_count,
-    _sum_in_order, _visit_order, iou,
+    Box, ScoredBox, _box_fields, _check_threshold, _corner_rows, _greedy, _greedy_matrix, _iou_matrix, _is_whole, _overlaps,
+    _positive_count, _ranked, _sum_in_order, _visit_order, iou,
 )
 
 SMALL_AREA_MAX = 32.0 * 32.0
@@ -299,9 +299,7 @@ def match(
     the IOU reaches iou_threshold (IOU ties toward the lower truth index).
     Every detection is checked as the other views check it, whatever its
     image or class.  Raises UnknownImageError for an unregistered image id,
-    and ValueError for an undeclared class_id.  It matches only its own group
-    instead of reading the whole-set pass behind the other views, which would
-    cost about four times as much per call.
+    and ValueError for an undeclared class_id.
     """
     _check_inputs(detections, ground_truths, (iou_threshold,))
     if class_id not in ground_truths.categories:
@@ -309,7 +307,7 @@ def match(
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
     cands = [d for d in detections.for_image(image_id) if d.class_id == class_id]
     cands = [cands[i] for i in _visit_order(cands)]
-    det_matches = _greedy(_iou_lists([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
+    det_matches = _greedy_matrix(_iou_matrix([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
     gt_matches: list[int | None] = [None] * len(truths)
     for pos, g in enumerate(det_matches):
         if g is not None:
@@ -365,29 +363,21 @@ def _codes(ids: Sequence, keys: Sequence) -> np.ndarray:
     return np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
 
 
-def _split(members: np.ndarray, codes: np.ndarray) -> dict[int, np.ndarray]:
-    """{code: the members of that code, in members' order} for each code present; codes are >= 0, codes[i] is members[i]'s."""
-    by_code = np.argsort(codes, kind="stable")
-    codes = codes[by_code]
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    return dict(zip(codes[starts].tolist(), np.split(members[by_code], starts[1:])))
-
-
 class _Evaluation:
     """The one matching pass behind every metric.
 
     Image and category ids are checked once, and coded once by ascending id.
     Detections, read as columns, are named by their input index and truths by
-    their position, image by image in input order.  Both are grouped once by
-    (image, class), the IOU of every same-group (detection, truth) pair is
-    computed once, and each truth's size band is decided once.  A detection
-    whose IOUs all fall below the lowest threshold can match at no threshold,
-    so its row is dropped before matching; it still ranks as a false positive.
-    matched[t] maps the input index of each detection that took a truth at
-    threshold t to that truth's position.  Every view is detection indices in
-    key order, a key per detection and a truth count per key.  Given class_id,
-    only that class's detections are ranked and matched (none for an undeclared
-    one); all are checked.
+    their position, image by image in input order.  Every same-(image, class)
+    IOU is computed in one call, and each pair reaching the lowest threshold
+    enters one pair table, ranked once by sweep order, then descending IOU,
+    then lower truth: pair_det, pair_truth and pair_iou.  A detection without
+    a pair still ranks as a false positive.  matched[t][d] is the position of
+    the truth detection d takes at threshold t, or -1.  Each truth's size band
+    is decided once.  Every view is detection indices in key order, a key per
+    detection and a truth count per key.  Given class_id, only that class's
+    detections are ranked and matched (none for an undeclared one); all are
+    checked.
     """
 
     def __init__(
@@ -410,31 +400,32 @@ class _Evaluation:
             self.order = self.order[self.class_of[self.order] == scope]
         self.by_class = self.order[np.argsort(self.class_of[self.order], kind="stable")]
         self.by_image = self.order[np.argsort(self.image_of[self.order], kind="stable")]
-        # (image, class) group codes of the detections in sweep order, and the truth positions of each group
-        group = self.image_of[self.order] * len(self.classes) + self.class_of[self.order]
-        members = _split(np.arange(len(truths)), self.truth_image * len(self.classes) + self.truth_class)
-        judged = np.isin(group, list(members))
-        rows, truth_rows = _corner_rows(centers), _corner_rows(_box_fields([gt.box for gt in truths]))
-        lowest = min(thresholds)
-        # (detections, truth positions, IOU rows) per group holding both, over rows that can match
-        self.groups = []
+        # truth positions sorted by (image, class) group; each swept detection's group is a run of them
+        truth_group = self.truth_image * len(self.classes) + self.truth_class
+        by_group = np.argsort(truth_group, kind="stable")
+        group = (self.image_of * len(self.classes) + self.class_of)[self.order]
+        first = np.searchsorted(truth_group[by_group], group, side="left")
+        count = np.searchsorted(truth_group[by_group], group, side="right") - first
+        # every same-group pair: detections by sweep position, each one's truths by position
+        sweep = np.repeat(np.arange(len(self.order)), count)
+        truth = by_group[np.arange(len(sweep)) + np.repeat(first - np.cumsum(count) + count, count)]
+        truth_rows = _corner_rows(_box_fields([gt.box for gt in truths]))
         with np.errstate(all="ignore"):
-            for code, dets in _split(self.order[judged], group[judged]).items():
-                ious = _overlaps(rows[dets], truth_rows[members[code]])
-                reach = ious.max(axis=1) >= lowest
-                self.groups.append((dets[reach].tolist(), members[code].tolist(), ious[reach].tolist()))
-        self.matched = {t: self._match(self.groups, t) for t in thresholds}
+            ious = _overlaps(_corner_rows(centers)[self.order[sweep]], truth_rows[truth])
+        reach = np.flatnonzero(ious >= min(thresholds))
+        ranked = reach[_ranked(sweep[reach], truth[reach], ious[reach])]
+        self.pair_det, self.pair_truth, self.pair_iou = self.order[sweep[ranked]], truth[ranked], ious[ranked]
+        self.matched = {t: self._match(self.pair_iou >= t) for t in thresholds}
 
-    def _match(self, groups, iou_threshold: float) -> dict[int, int]:
-        matched: dict[int, int] = {}
-        for dets, truths, rows in groups:
-            for det, g in zip(dets, _greedy(rows, iou_threshold)):
-                if g is not None:
-                    matched[det] = truths[g]
+    def _match(self, pairs: np.ndarray) -> np.ndarray:
+        """Each detection's matched truth position, or -1, by the greedy scan over the pairs where pairs is True."""
+        claims = np.flatnonzero(pairs)[_greedy(self.pair_det[pairs], self.pair_truth[pairs])]
+        matched = np.full(len(self.class_of), -1, dtype=np.intp)
+        matched[self.pair_det[claims]] = self.pair_truth[claims]
         return matched
 
     def _sweeps(
-        self, index: np.ndarray, key_of: np.ndarray, counts: np.ndarray, matches: Sequence[Mapping[int, int]]
+        self, index: np.ndarray, key_of: np.ndarray, counts: np.ndarray, matches: Sequence[np.ndarray]
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         """The keys that hold a truth, ascending, and per match map their PR sweeps.
 
@@ -453,9 +444,7 @@ class _Evaluation:
         ranked = np.arange(len(index)) - before + 1  # tp + fp
         out = []
         for matched in matches:
-            taken = np.zeros(len(key_of), dtype=bool)
-            taken[np.fromiter(matched, np.intp, len(matched))] = True
-            hits = np.cumsum(taken[index])
+            hits = np.cumsum(matched[index] >= 0)
             tp = hits - np.concatenate(([0], hits))[before]
             out.append((tp / num_gt, tp / ranked, lengths))
         return keys, out
@@ -474,22 +463,17 @@ class _Evaluation:
         """The COCO family, over every truth or over one size band's scope.
 
         A band's scope is its truths, the detections that no other band owns at
-        IOU 0.5, and a re-match on the same IOU rows cut to the columns of the
-        band's truths, kept in order so that IOU ties still go to the lower
-        truth.
+        IOU 0.5, and a re-match over the pair table masked to the pairs between
+        the two; the mask keeps the table's order, so IOU ties still go to the
+        lower truth.
         """
         index, matched, truth_class = self.by_class, self.matched, self.truth_class
         if band is not None:
-            bands, code = self.truth_band.tolist(), AREA_BANDS.index(band)
-            owned = np.zeros(len(self.class_of), dtype=bool)
-            owned[[det for det, truth in self.matched[0.5].items() if bands[truth] != code]] = True
-            groups = []
-            for dets, members, rows in self.groups:
-                cols = [g for g, truth in enumerate(members) if bands[truth] == code]
-                if cols:
-                    rest = [(det, [row[g] for g in cols]) for det, row in zip(dets, rows) if not owned[det]]
-                    groups.append(([det for det, _ in rest], [members[g] for g in cols], [row for _, row in rest]))
-            matched = {t: self._match(groups, t) for t in COCO_IOU_THRESHOLDS}
+            code = AREA_BANDS.index(band)
+            owned = self.matched[0.5] >= 0
+            owned[owned] = self.truth_band[self.matched[0.5][owned]] != code
+            scope = (self.truth_band[self.pair_truth] == code) & ~owned[self.pair_det]
+            matched = {t: self._match(scope & (self.pair_iou >= t)) for t in COCO_IOU_THRESHOLDS}
             index, truth_class = index[~owned[index]], truth_class[self.truth_band == code]
         counts = np.bincount(truth_class, minlength=len(self.classes))
         keys, per_class = self._aps(index, self.class_of, counts, [matched[t] for t in COCO_IOU_THRESHOLDS], "101-point")

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Sequence
 
-from .geometry import Box, _greedy, _iou_lists, _is_whole, _non_negative_count, _sum_in_order
+import numpy as np
+
+from .geometry import Box, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _sum_in_order
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -354,8 +356,9 @@ def assign_yolo_from_ious(
     num_ground_truths = _truth_count(ious, num_ground_truths)
     # The matching rule with truths as rows: at threshold -inf a truth claims
     # its best free prior of IOU above -1.  A truth that claims nothing ends
-    # the claims, so later truths get no prior either.
-    claims = _greedy([[row[g] for row in ious] for g in range(num_ground_truths)], -math.inf)
+    # the claims, so later truths get no prior either.  Only numbers cast
+    # safely to float64: any other entry raises TypeError, as comparing it did.
+    claims = _greedy_matrix(np.array(ious).astype(np.float64, casting="safe").T, -math.inf)
     positives = {i: g for g, i in enumerate(takewhile(lambda i: i is not None, claims))}
     labels: list[AssignmentLabel] = []
     for i in range(num_priors):
@@ -381,7 +384,7 @@ def assign_yolo(
     above ignore_threshold are ignored, everything else is negative.  With no
     ground truths every prior is negative.
     """
-    ious = _iou_lists([p.as_box() for p in placed_priors], ground_truths)
+    ious = _iou_matrix([p.as_box() for p in placed_priors], ground_truths).tolist()
     return assign_yolo_from_ious(ious, len(ground_truths), ignore_threshold)
 
 
@@ -430,7 +433,7 @@ def assign_dual_threshold(
     neg_threshold: float = 0.3,
 ) -> list[AssignmentLabel]:
     """Assign each prior by its maximum overlap against two fixed thresholds."""
-    ious = _iou_lists([p.as_box() for p in placed_priors], ground_truths)
+    ious = _iou_matrix([p.as_box() for p in placed_priors], ground_truths).tolist()
     return assign_dual_threshold_from_ious(ious, len(ground_truths), pos_threshold, neg_threshold)
 
 

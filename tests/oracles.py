@@ -17,6 +17,9 @@ oracle_assign_yolo_from_ious and oracle_assign_dual_threshold_from_ious are
 the hand-written claim loop and first-maximum scan of the two prior
 assignment rules, so that the library's versions can be required to give
 the same labels on any matrix, NaN and infinities included.
+oracle_greedy is the nested-loop greedy match over an IOU matrix's rows, so
+that geometry's ranked-pair scan can be required to give the same columns on
+any matrix.
 compensated_sum is not an oracle but a stand-in: Python 3.12's sum() of
 floats, for running the library as a newer interpreter would.
 """
@@ -253,6 +256,29 @@ def oracle_assign_yolo_from_ious(
         else:
             labels.append(NEGATIVE)
     return labels
+
+
+def oracle_greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list[int | None]:
+    """The greedy matching rule: each row in turn claims a column.
+
+    Row i takes the still-free column of highest IOU, provided that IOU
+    reaches iou_threshold and exceeds -1 (NaN never does); the strict
+    comparison sends IOU ties to the lower column.  Returns each row's
+    column, or None.
+    """
+    taken: set[int] = set()
+    out: list[int | None] = []
+    for row in rows:
+        best = None
+        best_value = -1.0
+        for g, value in enumerate(row):
+            if value >= iou_threshold and value > best_value and g not in taken:
+                best_value = value
+                best = g
+        out.append(best)
+        if best is not None:
+            taken.add(best)
+    return out
 
 
 def oracle_assign_dual_threshold_from_ious(

@@ -122,7 +122,7 @@ class TestNumericStorage:
             a, b = (Box(*(np.float32(v) for v in rng.uniform([0, 0, 1, 1], [50, 50, 40, 40]))) for _ in range(2))
             value = iou(a, b)
             assert type(value) is float
-            assert value == geometry._iou_lists([a], [b])[0][0]
+            assert value == geometry._iou_matrix([a], [b]).tolist()[0][0]
 
     def test_dump_results_writes_numpy_fields_and_scores(self):
         scored = ScoredBox(Box(*(np.float32(v) for v in (10.3, 20.1, 30.7, 40.2))), np.float32(0.3), 1)
@@ -373,7 +373,7 @@ class TestOverlapsMatchScalarIou:
 
     @staticmethod
     def assert_same_as_iou(rows, cols):
-        got = geometry._iou_lists(rows, cols)
+        got = geometry._iou_matrix(rows, cols).tolist()
         assert [[v.hex() for v in row] for row in got] == [[iou(a, b).hex() for b in cols] for a in rows]
 
     @given(st.lists(grid_boxes, max_size=12), st.sampled_from([0.25, 0.5, 1.0]))
@@ -404,12 +404,12 @@ class TestOverlapsMatchScalarIou:
     def test_zero_corner_area_pair_reads_zero(self):
         # Both corner areas and the intersection are 0.0; the matrix must not divide 0 by 0.
         thin = Box.from_corner_size(100, 0, 1e-14, 10)
-        assert geometry._iou_lists([thin], [thin]) == [[0.0]]
+        assert geometry._iou_matrix([thin], [thin]).tolist() == [[0.0]]
 
     def test_overflowing_union_halves_every_term(self):
         big = Box(0.0, 0.0, 1e154, 1e154)
         assert iou(big, big) == 1.0
-        assert geometry._iou_lists([big], [big]) == [[1.0]]
+        assert geometry._iou_matrix([big], [big]).tolist() == [[1.0]]
 
     def test_scalar_iou_builds_no_matrix(self, monkeypatch):
         # iou applies the overflow rule itself, so the differential tests above compare two computations
@@ -433,8 +433,8 @@ class TestOverlapsMatchScalarIou:
 
     def test_empty_sides(self):
         one = [Box(0.0, 0.0, 1.0, 1.0)]
-        assert geometry._iou_lists([], one) == []
-        assert geometry._iou_lists(one, []) == [[]]
+        assert geometry._iou_matrix([], one).tolist() == []
+        assert geometry._iou_matrix(one, []).tolist() == [[]]
 
 
 def _random_candidates(seed: int, count: int, classes: int, centers: int, spread: float) -> list[ScoredBox]:

@@ -219,7 +219,7 @@ class TestPRCurve:
 
         monkeypatch.setattr(metrics, "_overlaps", recording)
         assert pr_curve(dets, truths, 0.5, class_id=1).points == ((1.0, 1.0),)
-        # one IOU matrix: the corner row (left, top, right, bottom, area) of class 1's detection against its truth's
+        # one pair: the corner row (left, top, right, bottom, area) of class 1's detection against its truth's
         assert built == [([[0.0, 0.0, 10.0, 10.0, 100.0]], [[0.0, 0.0, 10.0, 10.0, 100.0]])]
 
     def test_unknown_image_in_another_class_detected(self):
@@ -757,6 +757,32 @@ class TestEvaluate:
     @example(oracles.Scenario((1, 2), (1, 2), ((1, 1, (0, 0, 30, 30)),), ((1, 1, 0.5, (0, 0, 30, 30)),)))
     def test_report_agrees_with_parts_on_band_scenarios(self, scenario):
         _assert_report_agrees_with_parts(*oracles.to_library(scenario))
+
+    def test_one_iou_call_covers_exactly_the_same_group_pairs(self, monkeypatch):
+        # two images, three classes: four (image, class) groups hold detections and truths, two hold detections only
+        gts = [(1, 1, (0, 0, 10, 10)), (1, 1, (20, 20, 40, 40)), (1, 2, (50, 50, 60, 60)), (2, 1, (0, 0, 30, 30)),
+               (2, 3, (60, 60, 90, 90))]
+        dets = [(1, 1, 0.9, (0, 0, 10, 10)), (1, 1, 0.8, (21, 20, 40, 40)), (1, 1, 0.3, (70, 70, 80, 80)),
+                (1, 2, 0.7, (50, 50, 61, 60)), (1, 3, 0.6, (0, 0, 10, 10)), (2, 1, 0.5, (0, 0, 30, 31)),
+                (2, 1, 0.4, (5, 5, 20, 20)), (2, 2, 0.95, (0, 0, 30, 30)), (2, 3, 0.2, (60, 60, 90, 90))]
+        calls = []
+        overlaps = metrics._overlaps
+
+        def recording(rows, cols):
+            calls.append(sorted(zip(map(tuple, rows.tolist()), map(tuple, cols.tolist()))))
+            return overlaps(rows, cols)
+
+        def corner_row(corners):
+            left, top, right, bottom = map(float, corners)
+            return (left, top, right, bottom, (right - left) * (bottom - top))
+
+        monkeypatch.setattr(metrics, "_overlaps", recording)
+        evaluate(_dets(dets), _truths(gts, categories=[1, 2, 3]))
+        # sum over groups of detections x truths: 3 x 2 + 1 x 1 + 2 x 1 + 1 x 1
+        want = sorted((corner_row(d), corner_row(g)) for img, cls, _, d in dets for gt_img, gt_cls, g in gts
+                      if (img, cls) == (gt_img, gt_cls))
+        assert len(want) == 10
+        assert calls == [want]
 
     def test_sharding_changes_nothing(self):
         _, dets_a, dets_b = pathology_fixture()

@@ -1,26 +1,30 @@
-"""The two order rules every output rests on, each stated once in geometry, and the one results writer.
+"""The order rules every output rests on, each stated once in geometry, and the one results writer.
 
 _visit_order is the one visit order of every ranking and greedy pass: by
-descending score, ties in input order.  _sum_in_order is the one sum behind
-every mean and loss: left to right, as sum() added floats before Python 3.12
-compensated it.  dataio.results_document is the one code that writes a
-results record.  The guard below reads the package source, so a second copy
-of any of them cannot come back unnoticed.
+descending score, ties in input order.  _ranked is the one pair order, in
+which every greedy match scan reads its candidates: by row, then descending
+value, then lower column.  _sum_in_order is the one sum behind every mean and
+loss: left to right, as sum() added floats before Python 3.12 compensated it.
+dataio.results_document is the one code that writes a results record.  The
+guard below reads the package source, so a second copy of any of them cannot
+come back unnoticed.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import detkit
 import oracles
 from conftest import finite_floats
-from detkit.geometry import _sum_in_order, _visit_order
+from detkit.geometry import _ranked, _sum_in_order, _visit_order
 
 SOURCES = sorted(Path(detkit.__file__).parent.glob("*.py"))
 
@@ -28,6 +32,9 @@ SOURCES = sorted(Path(detkit.__file__).parent.glob("*.py"))
 VISIT_ORDER_SITE = ("geometry", "_visit_order")
 
 SORTS = ("sorted", "sort", "argsort", "lexsort")
+
+# The one place a pair order is stated: the one lexsort in the package.
+PAIR_ORDER_SITE = ("geometry", "_ranked")
 
 # The keys of a results record, and the one function that may build a dict holding them all.
 RECORD_KEYS = {"image_id", "category_id", "bbox", "score"}
@@ -39,10 +46,10 @@ def _reads_score(node: ast.AST) -> bool:
 
 
 class _OrderRuleFinder(ast.NodeVisitor):
-    """Collects builtin sum() calls, sorts whose arguments or key read a .score, and dicts with every results-record key.
+    """Collects builtin sum() calls, sorts whose arguments or key read a .score, lexsorts, and dicts with every results-record key.
 
     A dict counts whether it is a display or a dict() call with keywords.
-    Sorts and dicts are collected with their enclosing function.
+    Sorts, lexsorts and dicts are collected with their enclosing function.
     """
 
     def __init__(self, module: str) -> None:
@@ -50,6 +57,7 @@ class _OrderRuleFinder(ast.NodeVisitor):
         self.scope: list[str] = []
         self.sums: list[tuple[str, int]] = []
         self.score_sorts: list[tuple[str, str | None, int]] = []
+        self.lexsorts: list[tuple[str, str | None, int]] = []
         self.records: list[tuple[str, str | None, int]] = []
 
     def _site(self, node: ast.AST) -> tuple[str, str | None, int]:
@@ -69,6 +77,8 @@ class _OrderRuleFinder(ast.NodeVisitor):
             self.sums.append((self.module, node.lineno))
         if name in SORTS and any(_reads_score(arg) for arg in [*node.args, *(kw.value for kw in node.keywords)]):
             self.score_sorts.append(self._site(node))
+        if name == "lexsort":
+            self.lexsorts.append(self._site(node))
         if isinstance(func, ast.Name) and name == "dict" and RECORD_KEYS <= {kw.arg for kw in node.keywords}:
             self.records.append(self._site(node))
         self.generic_visit(node)
@@ -93,6 +103,10 @@ class TestOneCopyOfEachRule:
     def test_only_the_visit_order_sorts_by_score(self):
         found = [hit for path in SOURCES for hit in _find(path.read_text(encoding="utf-8"), path.stem).score_sorts]
         assert [(module, scope) for module, scope, _ in found] == [VISIT_ORDER_SITE]
+
+    def test_only_the_pair_order_lexsorts(self):
+        found = [hit for path in SOURCES for hit in _find(path.read_text(encoding="utf-8"), path.stem).lexsorts]
+        assert [(module, scope) for module, scope, _ in found] == [PAIR_ORDER_SITE]
 
     def test_the_guard_sees_both_kinds_of_copy(self):
         # The two score sorts and the hand sum the rules replaced, as they would read if put back.
@@ -138,6 +152,20 @@ class TestVisitOrder:
     def test_is_descending_score_then_input_position(self, scores):
         items = [SimpleNamespace(score=s) for s in scores]
         assert _visit_order(items) == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+# Pair values with ties across spellings (0.0 and -0.0), the infinities, and any finite float.
+pair_values = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.5, 1.0]) | st.floats(allow_nan=False)
+
+
+class TestRanked:
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), pair_values), max_size=60))
+    @example([(1, 2, 0.0), (1, 0, -0.0), (0, 3, math.inf), (1, 1, -0.0), (0, 0, -math.inf), (1, 0, 0.0)])
+    @example([(2, 1, 0.5)] * 3 + [(0, 1, 0.5)] * 2)
+    def test_is_row_then_descending_value_then_column(self, pairs):
+        rows, cols, values = ([pair[k] for pair in pairs] for k in range(3))
+        got = _ranked(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(values, dtype=np.float64))
+        assert got.tolist() == sorted(range(len(pairs)), key=lambda i: (rows[i], -values[i], cols[i]))
 
 
 class TestSumInOrder:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from detkit import (
     tensor_index,
     tensor_unindex,
 )
+from detkit.geometry import _greedy_matrix
 
 LN2 = math.log(2.0)
 
@@ -397,6 +399,24 @@ def iou_matrices(draw):
     return ious, width
 
 
+class TestGreedyMatrixMatchesOracle:
+    """The ranked-pair scan over a matrix's entries gives the nested loop's columns, on any matrix and threshold."""
+
+    @given(iou_matrices(), st.sampled_from([-math.inf, 0.0, 0.5, 1.0]))
+    @example(([[0.7, 0.7, math.nan], [0.7, 0.7, 0.7], [0.0, -0.0, math.inf]], 3), 0.5)
+    @example(([[-0.0, 0.0], [0.0, -0.0]], 2), 0.0)
+    @example(([[-1.0, -2.0, -math.inf], [math.nan, -1.0, -0.5]], 3), -math.inf)
+    @settings(max_examples=400)
+    def test_same_columns_as_the_nested_loop(self, matrix, iou_threshold):
+        rows, width = matrix
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        assert _greedy_matrix(values, iou_threshold) == oracles.oracle_greedy(rows, iou_threshold)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_sides(self, shape):
+        assert _greedy_matrix(np.zeros(shape), 0.5) == [None] * shape[0]
+
+
 class TestAssignmentMatchesOracles:
     """Both rules give the labels of the hand-written loops in oracles, on any matrix."""
 
@@ -421,6 +441,12 @@ class TestAssignmentMatchesOracles:
         # truth 0 has no IOU above -1, so truth 1 claims no prior although prior 1 is free
         labels = assign_yolo_from_ious([[math.nan, 0.9], [-1.0, 0.6]], num_ground_truths=2)
         assert labels == [IGNORED, IGNORED]
+
+    @pytest.mark.parametrize("entry", ["0.9", None])
+    def test_a_non_number_iou_is_rejected(self, entry):
+        # "0.9" sits where it would be claimed, so no later comparison reads it
+        with pytest.raises(TypeError):
+            assign_yolo_from_ious([[entry]], num_ground_truths=1)
 
     def test_nan_never_replaces_the_first_maximum(self):
         assert assign_dual_threshold_from_ious([[0.8, math.nan]], 2) == [AssignmentLabel.positive(0)]
