@@ -27,7 +27,7 @@ from .dataio import (
     load_speed_table,
     results_document,
 )
-from .geometry import _check_threshold, nms
+from .geometry import _codes, _suppress
 from .metrics import MetricReport, evaluate
 from .yolo import GridSpec, OutOfBoundsError, tensor_index
 
@@ -129,10 +129,11 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 def _cmd_nms(args: argparse.Namespace) -> int:
     truths = load_dataset(args.gt)  # supplies the image registry only
     detections = load_results(args.dets, truths)
+    image_ids, class_ids, scores, centers, _ = detections._column_view()
+    kept = _suppress(list(zip(image_ids, class_ids)), scores, centers, args.iou)
+    place = _codes(image_ids, truths.image_ids).tolist()  # each detection's image's registry position
     records = results_document(detections)  # each record as read, so no survivor goes through its center
-    _check_threshold(args.iou)  # here too, for a dataset without images, where nms never runs
-    kept = [det for image_id in truths.image_ids for det in nms(detections.for_image(image_id), args.iou)]
-    print(json.dumps([records[det.index] for det in kept]))
+    print(json.dumps([records[i] for i in sorted(kept.tolist(), key=place.__getitem__)]))
     return EXIT_OK
 
 

@@ -250,8 +250,8 @@ def _iou_matrix(rows: Sequence[Box], cols: Sequence[Box]) -> np.ndarray:
         return _overlaps(_corner_rows(_box_fields(rows))[:, None], _corner_rows(_box_fields(cols)))
 
 
-def _visit_order(items: Sequence | np.ndarray) -> list[int]:
-    """Positions of items by descending score, ties in input order.
+def _visit_order(items: Sequence | np.ndarray) -> np.ndarray:
+    """Positions of items by descending score, ties in input order, as an intp array.
 
     items holds anything with a score, or is a float64 array of the scores
     themselves, as a results set's score column is.  The one visit order of
@@ -262,7 +262,16 @@ def _visit_order(items: Sequence | np.ndarray) -> list[int]:
     return np.argsort(
         -(items if isinstance(items, np.ndarray) else np.array([item.score for item in items], dtype=np.float64)),
         kind="stable",
-    ).tolist()
+    )
+
+
+def _codes(ids: Sequence, keys: Iterable) -> np.ndarray:
+    """Each id's position in keys; every id is one of them.
+
+    Ids are coded through a dict, so any hashable id works, ints beyond int64 too.
+    """
+    position = {key: code for code, key in enumerate(keys)}
+    return np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -310,7 +319,7 @@ def _greedy_matrix(values: np.ndarray, iou_threshold: float) -> list[int | None]
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Mask of the boxes the greedy rule keeps among boxes of one class, given in visit order.
+    """Mask of the boxes the greedy rule keeps among one key's candidates, given as corner rows in visit order.
 
     Survivors are taken a block at a time from the front.  One IOU matrix
     covers the block against itself and every later survivor.  Within the
@@ -334,8 +343,31 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     return keep
 
 
+def _suppress(keys: Sequence, scored: Sequence | np.ndarray, fields: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Positions of the candidates greedy suppression keeps, in visit order: the one suppression pass.
+
+    Candidate i has the hashable key keys[i], a score read by _visit_order
+    from scored, and the center-form box fields[i].  Candidates are visited by
+    descending score, ties by position, and a candidate is kept iff its IOU
+    with every already-kept candidate of the same key is <= iou_threshold.
+    Each key's candidates run as one slice of _greedy_keep; a key's first
+    candidate is always kept, so a key with one candidate needs no IOU.
+    """
+    _check_threshold(iou_threshold)
+    order = _visit_order(scored)
+    codes = _codes(keys, dict.fromkeys(keys))[order]  # each visit position's key
+    keep = np.ones(len(order), dtype=bool)  # by visit position
+    with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
+        rows = _corner_rows(fields)[order]
+        # visit positions key by key (a stable argsort of the codes), cut into one run per key
+        for run in np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]):
+            if len(run) > 1:
+                keep[run] = _greedy_keep(rows[run], iou_threshold)
+    return order[keep]
+
+
 def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
-    """Greedy per-class non-maximum suppression.
+    """Greedy per-class non-maximum suppression: _suppress keyed by class_id.
 
     detections may be any items with a score, a class_id and a box:
     ScoredBoxes, or the Detections of a results set.  Candidates are visited
@@ -347,18 +379,5 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     The greedy rule runs on numpy arrays with iou's arithmetic elementwise,
     so the kept list is the scalar rule's exactly.
     """
-    _check_threshold(iou_threshold)
-    order = _visit_order(detections)
-    by_class: dict[int, list[int]] = {}
-    for i in order:
-        by_class.setdefault(detections[i].class_id, []).append(i)
-    # A class's first candidate is always kept, so only classes of two or more need IOU.
-    groups = [members for members in by_class.values() if len(members) > 1]
-    survives = [True] * len(detections)
-    if groups:
-        with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
-            boxes = _corner_rows(_box_fields([detection.box for detection in detections]))
-            for members in groups:
-                for i, kept in zip(members, _greedy_keep(boxes[members], iou_threshold).tolist()):
-                    survives[i] = kept
-    return [detections[i] for i in order if survives[i]]
+    kept = _suppress([d.class_id for d in detections], detections, _box_fields([d.box for d in detections]), iou_threshold)
+    return [detections[i] for i in kept.tolist()]

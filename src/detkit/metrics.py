@@ -28,8 +28,8 @@ import numpy as np
 
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
 from .geometry import (  # noqa: F401
-    Box, ScoredBox, _box_fields, _check_threshold, _corner_rows, _greedy, _greedy_matrix, _iou_matrix, _is_whole, _overlaps,
-    _positive_count, _ranked, _sum_in_order, _visit_order, iou,
+    Box, ScoredBox, _box_fields, _check_threshold, _codes, _corner_rows, _greedy, _greedy_matrix, _iou_matrix, _is_whole,
+    _overlaps, _positive_count, _ranked, _sum_in_order, _visit_order, iou,
 )
 
 SMALL_AREA_MAX = 32.0 * 32.0
@@ -357,12 +357,6 @@ def _check_inputs(detections: DetectionResultSet, ground_truths: GroundTruthSet,
     return columns
 
 
-def _codes(ids: Sequence, keys: Sequence) -> np.ndarray:
-    """Each id's position in keys; every id is one of them."""
-    position = {key: code for code, key in enumerate(keys)}
-    return np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
-
-
 class _Evaluation:
     """The one matching pass behind every metric.
 
@@ -394,7 +388,7 @@ class _Evaluation:
         self.truth_image = _codes([gt.image_id for gt in truths], self.images)
         self.truth_class = _codes([gt.class_id for gt in truths], self.classes)
         self.truth_band = np.array([AREA_BANDS.index(area_band(gt.box)) for gt in truths], dtype=np.intp)
-        self.order = np.array(_visit_order(scores), dtype=np.intp)
+        self.order = _visit_order(scores)
         if class_id is not None:
             scope = self.classes.index(class_id) if class_id in ground_truths.categories else -1
             self.order = self.order[self.class_of[self.order] == scope]

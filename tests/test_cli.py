@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import run_cli
-from detkit import dump_results, fixture_path, load_dataset, load_results, nms
+from detkit import Box, ScoredBox, dump_results, fixture_path, geometry, load_dataset, load_results, nms
 from detkit.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_SEMANTIC_ERROR, EXIT_USAGE_ERROR
 
 GT = str(fixture_path("pathology_gt.json"))
@@ -464,6 +464,93 @@ class TestResultsWriterFuzz:
             code, out, err = run_cli(["nms", "--gt", str(gt), "--dets", str(dets), "--iou", repr(threshold)])
         assert (code, err) == (EXIT_OK, "")
         assert out == json.dumps(expected) + "\n"
+
+
+def _write_nms_files(tmp_path: Path, image_ids, class_ids, records) -> tuple[str, str]:
+    """A dataset registering image_ids and class_ids in the order given, and a results file of records."""
+    gt, dets = tmp_path / "gt.json", tmp_path / "dets.json"
+    gt.write_text(json.dumps({"images": [{"id": i, "width": 640, "height": 480} for i in image_ids],
+                              "categories": [{"id": c, "name": f"c{c}"} for c in class_ids], "annotations": []}),
+                  encoding="utf-8")
+    dets.write_text(json.dumps(records), encoding="utf-8")
+    return str(gt), str(dets)
+
+
+def _random_records(seed: int, image_ids, class_ids, per_image: int) -> list[dict]:
+    """per_image records on each image, boxes on a small canvas so that same-class boxes overlap, two-decimal scores."""
+    rng = random.Random(seed)
+    return [{"image_id": image_id, "category_id": rng.choice(class_ids),
+             "bbox": [round(rng.uniform(0, 40), 2), round(rng.uniform(0, 40), 2),
+                      round(rng.uniform(20, 60), 2), round(rng.uniform(20, 60), 2)],
+             "score": round(rng.random(), 2)}
+            for image_id in image_ids for _ in range(per_image)]
+
+
+def _nms_as_read(gt: str, dets: str, threshold: float) -> str:
+    """What detkit nms prints: per image in registry order, oracle_nms's survivors, each record as the loader read it."""
+    truths = load_dataset(gt)
+    detections = load_results(dets, truths)
+    as_read = json.loads(dump_results(detections))
+    kept = [det for image_id in truths.image_ids for det in oracles.oracle_nms(detections.for_image(image_id), threshold)]
+    return json.dumps([as_read[det.index] for det in kept]) + "\n"
+
+
+class TestNmsOneKeyedPass:
+    """detkit nms suppresses by (image, class) key in one pass over the loaded columns."""
+
+    def test_builds_no_scored_box(self, tmp_path, monkeypatch):
+        image_ids, class_ids = [5, 1, 9, 3, 7, 2], [0, 1, 2, 3]
+        records = _random_records(0, image_ids, class_ids, per_image=12)
+        gt, dets = _write_nms_files(tmp_path, image_ids, class_ids, records)
+        built = []
+        post_init = ScoredBox.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ScoredBox, "__post_init__", counting)
+        code, out, err = run_cli(["nms", "--gt", gt, "--dets", dets, "--iou", "0.45"])
+        assert (code, err, built) == (EXIT_OK, "", [])
+        monkeypatch.undo()
+        assert out == _nms_as_read(gt, dets, 0.45)
+        assert 0 < len(json.loads(out)) < len(records)
+
+    def test_ids_beyond_int64(self, tmp_path):
+        # Registry order is not id order; image 2**70 and category 2**65 fit no numpy integer type.
+        image_ids, class_ids = [3, 2**70, 1], [2**65, 0, 7]
+        records = _random_records(1, image_ids, class_ids, per_image=15)
+        gt, dets = _write_nms_files(tmp_path, image_ids, class_ids, records)
+        code, out, err = run_cli(["nms", "--gt", gt, "--dets", dets, "--iou", "0.3"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == _nms_as_read(gt, dets, 0.3)
+        assert {record["image_id"] for record in json.loads(out)} == set(image_ids)
+        candidates = [ScoredBox(Box.from_corner_size(*r["bbox"]), r["score"], r["category_id"]) for r in records]
+        kept, want = nms(candidates, 0.3), oracles.oracle_nms(candidates, 0.3)
+        assert len(kept) == len(want) and all(got is det for got, det in zip(kept, want))
+        assert 2**65 in {scored.class_id for scored in kept}
+
+    def test_lone_candidates_run_no_greedy_pass(self, tmp_path, monkeypatch):
+        # Each _greedy_keep call costs tens of microseconds of numpy calls, so a key with one candidate makes none.
+        image_ids, class_ids = list(range(2000, 0, -1)), list(range(10))
+        records = _random_records(2, image_ids, class_ids, per_image=3)
+        gt, dets = _write_nms_files(tmp_path, image_ids, class_ids, records)
+        sizes = []
+        greedy_keep = geometry._greedy_keep
+
+        def counting(boxes, iou_threshold):
+            sizes.append(len(boxes))
+            return greedy_keep(boxes, iou_threshold)
+
+        monkeypatch.setattr(geometry, "_greedy_keep", counting)
+        code, _, _ = run_cli(["nms", "--gt", gt, "--dets", dets, "--iou", "0.5"])
+        groups: dict[tuple[int, int], int] = {}
+        for record in records:
+            key = (record["image_id"], record["category_id"])
+            groups[key] = groups.get(key, 0) + 1
+        assert code == EXIT_OK
+        assert sorted(sizes) == sorted(size for size in groups.values() if size > 1)
+        assert 0 < len(sizes) < len(groups)
 
 
 class TestPlotdata:

@@ -151,7 +151,7 @@ class TestVisitOrder:
     @example([0.5] * 40 + [0, -0.0, 0.0, 1, 1.0] * 8)
     def test_is_descending_score_then_input_position(self, scores):
         items = [SimpleNamespace(score=s) for s in scores]
-        assert _visit_order(items) == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        assert _visit_order(items).tolist() == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 # Pair values with ties across spellings (0.0 and -0.0), the infinities, and any finite float.
