@@ -288,34 +288,33 @@ def _ranked(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarra
     return np.lexsort((cols, -values, rows))
 
 
-def _greedy(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _greedy(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
     """The one greedy match scan: each row in turn claims the first still-free column among its candidates.
 
     Candidate pairs come as _ranked orders them: grouped by row, rows in visit
-    order, each row's best first.  Returns the claiming pairs' positions.
+    order, each row's best first; every row lies in [0, size).  Returns the
+    match map: an intp array of size entries, each row's claimed column or -1.
     """
-    claims: list[int] = []
-    taken: set[int] = set()
+    claims: dict[int, int] = {}  # claimed column -> the row that claimed it
     last = None
-    for k, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
-        if row != last and col not in taken:
-            taken.add(col)
-            last = row
-            claims.append(k)
-    return np.array(claims, dtype=np.intp)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        if row != last and col not in claims:
+            claims[col] = last = row
+    matched = np.full(size, -1, dtype=np.intp)
+    matched[list(claims.values())] = list(claims)
+    return matched
 
 
-def _greedy_matrix(values: np.ndarray, iou_threshold: float) -> list[int | None]:
-    """Each row's column or None, by _greedy over a 2-D float64 matrix's entries that reach iou_threshold and exceed -1.
+def _greedy_matrix(values: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """The match map of _greedy over a 2-D float64 matrix's entries that reach iou_threshold and exceed -1.
 
-    NaN never does.  match runs it with detections as rows in visit order,
-    prior assignment with truths as rows.
+    NaN never does.  Each row's column, or -1, in row order.  match runs it
+    with detections as rows in visit order, prior assignment with truths as
+    rows.
     """
     rows, cols = np.nonzero((values >= iou_threshold) & (values > -1.0))
     ranked = _ranked(rows, cols, values[rows, cols])
-    claims = ranked[_greedy(rows[ranked], cols[ranked])]
-    column = dict(zip(rows[claims].tolist(), cols[claims].tolist()))
-    return [column.get(row) for row in range(len(values))]
+    return _greedy(rows[ranked], cols[ranked], len(values))
 
 
 def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
@@ -359,10 +358,12 @@ def _suppress(keys: Sequence, scored: Sequence | np.ndarray, fields: np.ndarray,
     keep = np.ones(len(order), dtype=bool)  # by visit position
     with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
         rows = _corner_rows(fields)[order]
-        # visit positions key by key (a stable argsort of the codes), cut into one run per key
-        for run in np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]):
-            if len(run) > 1:
-                keep[run] = _greedy_keep(rows[run], iou_threshold)
+        by_key = np.argsort(codes, kind="stable")  # visit positions key by key, each key's a run
+        counts = np.bincount(codes)
+        shared = counts > 1  # only a key of two or more candidates needs the greedy pass
+        for end, count in zip(np.cumsum(counts)[shared].tolist(), counts[shared].tolist()):
+            run = by_key[end - count:end]
+            keep[run] = _greedy_keep(rows[run], iou_threshold)
     return order[keep]
 
 

@@ -307,12 +307,10 @@ def match(
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
     cands = [d for d in detections.for_image(image_id) if d.class_id == class_id]
     cands = [cands[i] for i in _visit_order(cands)]
-    det_matches = _greedy_matrix(_iou_matrix([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
-    gt_matches: list[int | None] = [None] * len(truths)
-    for pos, g in enumerate(det_matches):
-        if g is not None:
-            gt_matches[g] = pos
-    return MatchTable(tuple(cands), tuple(det_matches), tuple(gt_matches))
+    matched = _greedy_matrix(_iou_matrix([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
+    det_matches = tuple(None if g < 0 else g for g in matched.tolist())
+    position = {g: pos for pos, g in enumerate(det_matches) if g is not None}  # each matched truth's detection
+    return MatchTable(tuple(cands), det_matches, tuple(map(position.get, range(len(truths)))))
 
 
 @dataclass(frozen=True)
@@ -413,10 +411,7 @@ class _Evaluation:
 
     def _match(self, pairs: np.ndarray) -> np.ndarray:
         """Each detection's matched truth position, or -1, by the greedy scan over the pairs where pairs is True."""
-        claims = np.flatnonzero(pairs)[_greedy(self.pair_det[pairs], self.pair_truth[pairs])]
-        matched = np.full(len(self.class_of), -1, dtype=np.intp)
-        matched[self.pair_det[claims]] = self.pair_truth[claims]
-        return matched
+        return _greedy(self.pair_det[pairs], self.pair_truth[pairs], len(self.class_of))
 
     def _sweeps(
         self, index: np.ndarray, key_of: np.ndarray, counts: np.ndarray, matches: Sequence[np.ndarray]

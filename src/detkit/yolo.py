@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-from itertools import takewhile
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +21,9 @@ from .geometry import Box, _greedy_matrix, _iou_matrix, _is_whole, _non_negative
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
 # boundary stays finite.
 _OFFSET_EPS = 1e-7
+
+# The largest float whose exp is finite: math.exp overflows above it.
+_EXP_MAX = math.log(sys.float_info.max)
 
 # Probabilities are clamped into [_PROB_EPS, 1 - _PROB_EPS] inside the log terms.
 _PROB_EPS = 1e-12
@@ -205,15 +208,20 @@ def decode(pred: RawPrediction, cell: GridCell, prior: AnchorPrior) -> Box:
     The center is the sigmoid-squashed offset added to the cell origin and
     scaled by the stride; the size is the prior scaled by the exponentiated
     raw values.  Prior sizes are already in image pixels, so only the center
-    is stride-scaled.
+    is stride-scaled.  An exp past the float range reads as an infinite
+    size, which Box rejects with its ValueError.
     """
     s = cell.stride
-    return Box(
-        (sigmoid(pred.x) + cell.col) * s,
-        (sigmoid(pred.y) + cell.row) * s,
-        prior.width * math.exp(pred.w),
-        prior.height * math.exp(pred.h),
-    )
+    try:
+        return Box(
+            (sigmoid(pred.x) + cell.col) * s,
+            (sigmoid(pred.y) + cell.row) * s,
+            prior.width * math.exp(pred.w),
+            prior.height * math.exp(pred.h),
+        )
+    except OverflowError:  # an exp past the float range reads as infinity, which the Box rule rejects
+        scale_w, scale_h = (math.exp(t) if t <= _EXP_MAX else math.inf for t in (pred.w, pred.h))
+    return Box((sigmoid(pred.x) + cell.col) * s, (sigmoid(pred.y) + cell.row) * s, prior.width * scale_w, prior.height * scale_h)
 
 
 def encode(box: Box, cell: GridCell, prior: AnchorPrior) -> tuple[float, float, float, float]:
@@ -323,17 +331,33 @@ def prior_loss(
     return total
 
 
-def _truth_count(ious: Sequence[Sequence[float]], num_ground_truths: int) -> int:
-    """num_ground_truths as an int; ValueError unless it is a non-negative whole number, the length of every row."""
+def _iou_rows(ious: Sequence[Sequence[float]] | np.ndarray, num_ground_truths: int) -> np.ndarray:
+    """ious as one (priors, truths) float64 array, checked as both assignment rules require.
+
+    Raises ValueError for no prior, then unless num_ground_truths is a
+    non-negative whole number and the length of every row.  Only numbers
+    cast safely to float64: any other entry, such as a str, a Fraction or an
+    int beyond int64, raises TypeError.
+    """
+    if len(ious) == 0:
+        raise ValueError("at least one prior is required")
     count = _non_negative_count("num_ground_truths", num_ground_truths)
     for i, row in enumerate(ious):
         if len(row) != count:
             raise ValueError(f"prior {i} has {len(row)} IOUs, but num_ground_truths is {count}")
-    return count
+    return np.asarray(ious).astype(np.float64, casting="safe")
+
+
+def _labels(truth_of: np.ndarray, ignored: np.ndarray) -> list[AssignmentLabel]:
+    """Each prior's label: positive for truth truth_of[i] where that is not -1, else IGNORED where ignored[i], else NEGATIVE."""
+    return [
+        AssignmentLabel.positive(g) if g >= 0 else IGNORED if skip else NEGATIVE
+        for g, skip in zip(truth_of.tolist(), ignored.tolist())
+    ]
 
 
 def assign_yolo_from_ious(
-    ious: Sequence[Sequence[float]], num_ground_truths: int, ignore_threshold: float = 0.5
+    ious: Sequence[Sequence[float]] | np.ndarray, num_ground_truths: int, ignore_threshold: float = 0.5
 ) -> list[AssignmentLabel]:
     """Best-prior-per-truth assignment over a precomputed IOU matrix.
 
@@ -346,29 +370,20 @@ def assign_yolo_from_ious(
 
     Ground truths can outnumber priors only in degenerate inputs; the ones
     left after every prior is claimed receive no positive prior.  Raises
-    ValueError unless num_ground_truths is the length of every row.
+    ValueError unless num_ground_truths is the length of every row, and
+    TypeError for an entry that is not a number.
     """
     if not (0.0 <= ignore_threshold <= 1.0):
         raise ValueError(f"ignore_threshold must lie in [0, 1], got {ignore_threshold!r}")
-    num_priors = len(ious)
-    if num_priors == 0:
-        raise ValueError("at least one prior is required")
-    num_ground_truths = _truth_count(ious, num_ground_truths)
+    ious = _iou_rows(ious, num_ground_truths)
     # The matching rule with truths as rows: at threshold -inf a truth claims
     # its best free prior of IOU above -1.  A truth that claims nothing ends
-    # the claims, so later truths get no prior either.  Only numbers cast
-    # safely to float64: any other entry raises TypeError, as comparing it did.
-    claims = _greedy_matrix(np.array(ious).astype(np.float64, casting="safe").T, -math.inf)
-    positives = {i: g for g, i in enumerate(takewhile(lambda i: i is not None, claims))}
-    labels: list[AssignmentLabel] = []
-    for i in range(num_priors):
-        if i in positives:
-            labels.append(AssignmentLabel.positive(positives[i]))
-        elif any(ious[i][g] > ignore_threshold for g in range(num_ground_truths)):
-            labels.append(IGNORED)
-        else:
-            labels.append(NEGATIVE)
-    return labels
+    # the claims, so later truths get no prior either.
+    prior_of = _greedy_matrix(ious.T, -math.inf)
+    claimed = np.logical_and.accumulate(prior_of >= 0)
+    truth_of = np.full(len(ious), -1, dtype=np.intp)
+    truth_of[prior_of[claimed]] = np.flatnonzero(claimed)
+    return _labels(truth_of, (ious > ignore_threshold).any(axis=1))
 
 
 def assign_yolo(
@@ -384,12 +399,12 @@ def assign_yolo(
     above ignore_threshold are ignored, everything else is negative.  With no
     ground truths every prior is negative.
     """
-    ious = _iou_matrix([p.as_box() for p in placed_priors], ground_truths).tolist()
+    ious = _iou_matrix([p.as_box() for p in placed_priors], ground_truths)
     return assign_yolo_from_ious(ious, len(ground_truths), ignore_threshold)
 
 
 def assign_dual_threshold_from_ious(
-    ious: Sequence[Sequence[float]],
+    ious: Sequence[Sequence[float]] | np.ndarray,
     num_ground_truths: int,
     pos_threshold: float = 0.7,
     neg_threshold: float = 0.3,
@@ -400,30 +415,25 @@ def assign_dual_threshold_from_ious(
     makes it positive for the argmax truth (ties toward the lower truth index),
     neg_threshold <= m < pos_threshold leaves it ignored, and m < neg_threshold
     makes it negative.  Several priors may be positive for the same truth.
-    Raises ValueError unless num_ground_truths is the length of every row.
+    The maximum is max()'s over the row: the first entry, replaced only by a
+    strictly greater one, so a NaN never replaces it and a NaN first entry
+    stays, labelling the prior negative.  Raises ValueError unless
+    num_ground_truths is the length of every row, and TypeError for an entry
+    that is not a number.
     """
     if not (0.0 <= neg_threshold <= pos_threshold <= 1.0):
         raise ValueError(
             f"need 0 <= neg_threshold <= pos_threshold <= 1, got {neg_threshold!r}/{pos_threshold!r}"
         )
-    num_priors = len(ious)
-    if num_priors == 0:
-        raise ValueError("at least one prior is required")
-    num_ground_truths = _truth_count(ious, num_ground_truths)
-    if num_ground_truths == 0:
-        return [NEGATIVE] * num_priors
-    labels: list[AssignmentLabel] = []
-    for row in ious:
-        # max keeps the first maximum: it replaces its pick only on a strictly greater IOU
-        best_gt = max(range(num_ground_truths), key=row.__getitem__)
-        best_value = row[best_gt]
-        if best_value >= pos_threshold:
-            labels.append(AssignmentLabel.positive(best_gt))
-        elif best_value >= neg_threshold:
-            labels.append(IGNORED)
-        else:
-            labels.append(NEGATIVE)
-    return labels
+    ious = _iou_rows(ious, num_ground_truths)
+    if ious.shape[1] == 0:
+        return [NEGATIVE] * len(ious)
+    # argmax takes the first maximum, and the first NaN: so NaN is masked after the first entry
+    scan = np.where(np.isnan(ious), -math.inf, ious)
+    scan[:, 0] = ious[:, 0]
+    best = scan.argmax(axis=1)
+    best_value = ious[np.arange(len(ious)), best]
+    return _labels(np.where(best_value >= pos_threshold, best, -1), best_value >= neg_threshold)
 
 
 def assign_dual_threshold(
@@ -433,7 +443,7 @@ def assign_dual_threshold(
     neg_threshold: float = 0.3,
 ) -> list[AssignmentLabel]:
     """Assign each prior by its maximum overlap against two fixed thresholds."""
-    ious = _iou_matrix([p.as_box() for p in placed_priors], ground_truths).tolist()
+    ious = _iou_matrix([p.as_box() for p in placed_priors], ground_truths)
     return assign_dual_threshold_from_ious(ious, len(ground_truths), pos_threshold, neg_threshold)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from detkit import (
     IGNORED,
     NEGATIVE,
     AnchorPrior,
+    AssignmentKind,
     AssignmentLabel,
     Box,
     CellMismatchError,
@@ -33,10 +35,14 @@ from detkit import (
     coord_gradient,
     decode,
     encode,
+    fixture_path,
     inverse_sigmoid,
+    iou,
+    load_dimension_samples,
     objectness_target,
     prior_loss,
     sigmoid,
+    split_scales,
     tensor_index,
     tensor_unindex,
 )
@@ -89,6 +95,17 @@ class TestDecode:
         box = decode(pred, GridCell(col=0, row=0), AnchorPrior(16.0, 16.0))
         assert box.width == pytest.approx(32.0, rel=1e-12)
         assert box.height == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("w, h, shown", [
+        (710.0, 0.0, "width=inf, height=90.0"),  # math.exp overflows
+        (0.0, 710.0, "width=116.0, height=inf"),
+        (1e308, 1e308, "width=inf, height=inf"),
+        (709.0, 0.0, "width=inf, height=90.0"),  # exp is finite, the product overflows
+        (math.inf, 0.0, "width=inf, height=90.0"),
+    ])
+    def test_a_size_past_the_float_range_breaks_the_box_rule(self, w, h, shown):
+        with pytest.raises(ValueError, match=rf"^box corners must be finite .*, {shown}\)$"):
+            decode(RawPrediction(0.0, 0.0, w, h), GridCell(0, 0, 32.0), AnchorPrior(116.0, 90.0))
 
     @given(raw_offsets, raw_offsets, cell_indices, cell_indices, strides)
     def test_center_stays_inside_cell(self, tx, ty, col, row, stride):
@@ -410,11 +427,11 @@ class TestGreedyMatrixMatchesOracle:
     def test_same_columns_as_the_nested_loop(self, matrix, iou_threshold):
         rows, width = matrix
         values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-        assert _greedy_matrix(values, iou_threshold) == oracles.oracle_greedy(rows, iou_threshold)
+        assert _greedy_matrix(values, iou_threshold).tolist() == [-1 if c is None else c for c in oracles.oracle_greedy(rows, iou_threshold)]
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_sides(self, shape):
-        assert _greedy_matrix(np.zeros(shape), 0.5) == [None] * shape[0]
+        assert _greedy_matrix(np.zeros(shape), 0.5).tolist() == [-1] * shape[0]
 
 
 class TestAssignmentMatchesOracles:
@@ -442,15 +459,72 @@ class TestAssignmentMatchesOracles:
         labels = assign_yolo_from_ious([[math.nan, 0.9], [-1.0, 0.6]], num_ground_truths=2)
         assert labels == [IGNORED, IGNORED]
 
-    @pytest.mark.parametrize("entry", ["0.9", None])
-    def test_a_non_number_iou_is_rejected(self, entry):
-        # "0.9" sits where it would be claimed, so no later comparison reads it
+    @pytest.mark.parametrize("assign, entry", [
+        pytest.param(assign, entry, id=prefix + name)
+        for assign, prefix in ((assign_yolo_from_ious, ""), (assign_dual_threshold_from_ious, "dual-"))
+        for entry, name in (("0.9", "0.9"), (None, "None"), (Fraction(4, 5), "Fraction"), (2**70, "2**70"))
+    ])
+    def test_a_non_number_iou_is_rejected(self, assign, entry):
+        # Each entry sits where it would be claimed or labelled positive, so no later comparison reads it.
+        # A Fraction and an int beyond int64 compare like numbers, but neither casts safely to float64.
         with pytest.raises(TypeError):
-            assign_yolo_from_ious([[entry]], num_ground_truths=1)
+            assign([[entry]], num_ground_truths=1)
 
     def test_nan_never_replaces_the_first_maximum(self):
         assert assign_dual_threshold_from_ious([[0.8, math.nan]], 2) == [AssignmentLabel.positive(0)]
         assert assign_dual_threshold_from_ious([[math.nan, 0.8]], 2) == [NEGATIVE]
+
+
+def yolov3_heads() -> list[PlacedPrior]:
+    """The shipped reference priors dealt by split_scales onto the 52/26/13 grids of a 416 input: 10,647 placed priors."""
+    samples = load_dimension_samples(fixture_path("coco_anchors.txt"))
+    groups = split_scales([AnchorPrior(s.width, s.height) for s in samples], num_scales=3)
+    return [
+        PlacedPrior(prior, GridCell(col, row, 416 / grid))
+        for grid, group in zip((52, 26, 13), groups)
+        for row in range(grid)
+        for col in range(grid)
+        for prior in group
+    ]
+
+
+class TestAssignmentAtYoloV3Scale:
+    """A full 416 head: both rules give their oracles' labels, and an array gives what its nested lists give."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        placed = yolov3_heads()
+        rng = random.Random(19)
+        # four truths on a prior box exactly (two on one box, so they compete for it), six drawn around the priors
+        truths = [placed[i].as_box() for i in (5, 5, 8500, 10_646)]
+        for _ in range(6):
+            prior = rng.choice(placed).prior
+            size = prior.width * rng.uniform(0.7, 1.4), prior.height * rng.uniform(0.7, 1.4)
+            truths.append(Box(rng.uniform(0, 416), rng.uniform(0, 416), *size))
+        ious = [[iou(p.as_box(), t) for t in truths] for p in placed]
+        return placed, truths, ious
+
+    def test_the_head_holds_10647_priors(self, scene):
+        placed, _, _ = scene
+        assert len(placed) == 13 * 13 * 3 + 26 * 26 * 3 + 52 * 52 * 3 == 10_647
+
+    def test_yolo_labels(self, scene):
+        placed, truths, ious = scene
+        labels = assign_yolo(placed, truths)
+        assert labels == oracles.oracle_assign_yolo_from_ious(ious, len(truths))
+        assert sum(lab.is_positive for lab in labels) == 10 and any(lab.is_ignored for lab in labels)
+
+    def test_dual_threshold_labels(self, scene):
+        placed, truths, ious = scene
+        labels = assign_dual_threshold(placed, truths)
+        assert labels == oracles.oracle_assign_dual_threshold_from_ious(ious, len(truths))
+        assert {lab.kind for lab in labels} == set(AssignmentKind)
+
+    @pytest.mark.parametrize("assign", [assign_yolo_from_ious, assign_dual_threshold_from_ious])
+    def test_an_array_and_its_lists_give_the_same_labels(self, scene, assign):
+        _, truths, ious = scene
+        array = np.array(ious)
+        assert assign(array, len(truths)) == assign(array.tolist(), len(truths))
 
 
 class TestPlacedPrior:
