@@ -250,19 +250,16 @@ def _iou_matrix(rows: Sequence[Box], cols: Sequence[Box]) -> np.ndarray:
         return _overlaps(_corner_rows(_box_fields(rows))[:, None], _corner_rows(_box_fields(cols)))
 
 
-def _visit_order(items: Sequence | np.ndarray) -> np.ndarray:
-    """Positions of items by descending score, ties in input order, as an intp array.
+def _visit_order(scores: np.ndarray) -> np.ndarray:
+    """Positions of a float64 score column by descending score, ties in input order, as an intp array.
 
-    items holds anything with a score, or is a float64 array of the scores
-    themselves, as a results set's score column is.  The one visit order of
-    every ranking and greedy pass: a stable argsort of the negated scores, so
-    items of equal score (0, 0.0 and -0.0 among them) keep their order.
-    Scores lie in [0, 1], where float64 holds every int and float exactly.
+    The one visit order of every ranking and greedy pass: a stable argsort
+    of the negated scores, so equal scores (0.0 and -0.0 among them) keep
+    their order.  Scores lie in [0, 1], where float64 holds every int and
+    float exactly, so a column built from Python numbers ranks them as they
+    compare.
     """
-    return np.argsort(
-        -(items if isinstance(items, np.ndarray) else np.array([item.score for item in items], dtype=np.float64)),
-        kind="stable",
-    )
+    return np.argsort(-scores, kind="stable")
 
 
 def _codes(ids: Sequence, keys: Iterable) -> np.ndarray:
@@ -342,18 +339,18 @@ def _greedy_keep(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
     return keep
 
 
-def _suppress(keys: Sequence, scored: Sequence | np.ndarray, fields: np.ndarray, iou_threshold: float) -> np.ndarray:
+def _suppress(keys: Sequence, scores: np.ndarray, fields: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Positions of the candidates greedy suppression keeps, in visit order: the one suppression pass.
 
-    Candidate i has the hashable key keys[i], a score read by _visit_order
-    from scored, and the center-form box fields[i].  Candidates are visited by
+    Candidate i has the hashable key keys[i], the float64 score scores[i],
+    and the center-form box fields[i].  Candidates are visited by
     descending score, ties by position, and a candidate is kept iff its IOU
     with every already-kept candidate of the same key is <= iou_threshold.
     Each key's candidates run as one slice of _greedy_keep; a key's first
     candidate is always kept, so a key with one candidate needs no IOU.
     """
     _check_threshold(iou_threshold)
-    order = _visit_order(scored)
+    order = _visit_order(scores)
     codes = _codes(keys, dict.fromkeys(keys))[order]  # each visit position's key
     keep = np.ones(len(order), dtype=bool)  # by visit position
     with np.errstate(all="ignore"):  # overflow and NaN arise silently, as with Python floats
@@ -380,5 +377,6 @@ def nms(detections: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox
     The greedy rule runs on numpy arrays with iou's arithmetic elementwise,
     so the kept list is the scalar rule's exactly.
     """
-    kept = _suppress([d.class_id for d in detections], detections, _box_fields([d.box for d in detections]), iou_threshold)
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    kept = _suppress([d.class_id for d in detections], scores, _box_fields([d.box for d in detections]), iou_threshold)
     return [detections[i] for i in kept.tolist()]

@@ -77,7 +77,11 @@ class GroundTruth:
 
 
 class GroundTruthSet:
-    """Ground-truth boxes grouped by image, with the declared category set.
+    """Ground-truth boxes and the declared category set.
+
+    Each truth is held once, in the one truth order: image by image in
+    registry order, input order within an image.  A truth's position in it
+    names the truth in every pass, and the truth counts are read from it.
 
     Whole-valued category ids are stored as int (2.0 becomes 2); given as a
     list, each category is named by its stored id (2.0 is named "2").  Raises
@@ -107,17 +111,14 @@ class GroundTruthSet:
             self._categories[category_id] = name if named else str(category_id)
         if len(self._categories) == 0:
             raise ValueError("at least one category must be declared")
-        self._by_image: dict[int, list[GroundTruth]] = {i: [] for i in self._images}
-        self._class_totals: dict[int, int] = {}
-        self._total = 0
+        by_image: dict[int, list[GroundTruth]] = {i: [] for i in self._images}
         for gt in ground_truths:
             if gt.image_id not in self._images:
                 raise ValueError(f"ground truth references unknown image {gt.image_id}")
             if gt.class_id not in self._categories:
                 raise ValueError(f"ground truth references unknown category {gt.class_id}")
-            self._by_image[gt.image_id].append(gt)
-            self._class_totals[gt.class_id] = self._class_totals.get(gt.class_id, 0) + 1
-            self._total += 1
+            by_image[gt.image_id].append(gt)
+        self._truths = tuple(gt for truths in by_image.values() for gt in truths)
 
     @property
     def images(self) -> Mapping[int, ImageInfo]:
@@ -134,17 +135,17 @@ class GroundTruthSet:
     def for_image(self, image_id: int) -> tuple[GroundTruth, ...]:
         if image_id not in self._images:
             raise UnknownImageError(image_id)
-        return tuple(self._by_image[image_id])
+        return tuple(gt for gt in self._truths if gt.image_id == image_id)
 
     def class_count(self, class_id: int) -> int:
-        return self._class_totals.get(class_id, 0)
+        return [gt.class_id for gt in self._truths].count(class_id)
 
     @property
     def total_count(self) -> int:
-        return self._total
+        return len(self._truths)
 
     def classes_with_truth(self) -> tuple[int, ...]:
-        return tuple(sorted(self._class_totals))
+        return tuple(sorted({gt.class_id for gt in self._truths}))
 
     def _registers(self, image_ids: Iterable, class_ids: Iterable) -> bool:
         """True when every id of image_ids is a registered image and every one of class_ids a declared category."""
@@ -156,7 +157,8 @@ class GroundTruthSet:
         return (
             self._images == other._images
             and self._categories == other._categories
-            and self._by_image == other._by_image
+            # each image's truths in input order, whatever order the registry lists the images in
+            and sorted(self._truths, key=lambda gt: gt.image_id) == sorted(other._truths, key=lambda gt: gt.image_id)
         )
 
 
@@ -306,7 +308,7 @@ def match(
         raise ValueError(f"unknown category {class_id}")
     truths = [gt for gt in ground_truths.for_image(image_id) if gt.class_id == class_id]
     cands = [d for d in detections.for_image(image_id) if d.class_id == class_id]
-    cands = [cands[i] for i in _visit_order(cands)]
+    cands = [cands[i] for i in _visit_order(np.array([d.score for d in cands], dtype=np.float64))]
     matched = _greedy_matrix(_iou_matrix([det.box for det in cands], [gt.box for gt in truths]), iou_threshold)
     det_matches = tuple(None if g < 0 else g for g in matched.tolist())
     position = {g: pos for pos, g in enumerate(det_matches) if g is not None}  # each matched truth's detection
@@ -360,7 +362,7 @@ class _Evaluation:
 
     Image and category ids are checked once, and coded once by ascending id.
     Detections, read as columns, are named by their input index and truths by
-    their position, image by image in input order.  Every same-(image, class)
+    their position in the truth set's own order.  Every same-(image, class)
     IOU is computed in one call, and each pair reaching the lowest threshold
     enters one pair table, ranked once by sweep order, then descending IOU,
     then lower truth: pair_det, pair_truth and pair_iou.  A detection without
@@ -381,7 +383,7 @@ class _Evaluation:
     ) -> None:
         image_ids, class_ids, scores, centers, _ = _check_inputs(detections, ground_truths, thresholds)
         self.images, self.classes = sorted(ground_truths.images), sorted(ground_truths.categories)
-        truths = [gt for image_id in ground_truths.image_ids for gt in ground_truths.for_image(image_id)]
+        truths = ground_truths._truths
         self.image_of, self.class_of = _codes(image_ids, self.images), _codes(class_ids, self.classes)
         self.truth_image = _codes([gt.image_id for gt in truths], self.images)
         self.truth_class = _codes([gt.class_id for gt in truths], self.classes)
@@ -403,7 +405,7 @@ class _Evaluation:
         truth = by_group[np.arange(len(sweep)) + np.repeat(first - np.cumsum(count) + count, count)]
         truth_rows = _corner_rows(_box_fields([gt.box for gt in truths]))
         with np.errstate(all="ignore"):
-            ious = _overlaps(_corner_rows(centers)[self.order[sweep]], truth_rows[truth])
+            ious = _overlaps(_corner_rows(centers[self.order])[sweep], truth_rows[truth])
         reach = np.flatnonzero(ious >= min(thresholds))
         ranked = reach[_ranked(sweep[reach], truth[reach], ious[reach])]
         self.pair_det, self.pair_truth, self.pair_iou = self.order[sweep[ranked]], truth[ranked], ious[ranked]

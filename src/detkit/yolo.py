@@ -76,6 +76,10 @@ class RawPrediction:
     class_logits: tuple[float, ...] = ()
 
 
+# The zero offsets every prior box decodes; frozen, so one instance serves every call.
+_NO_OFFSET = RawPrediction(0.0, 0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class GridCell:
     """A cell of the prediction grid: whole, non-negative indices; stride is the cell edge in image pixels."""
@@ -122,7 +126,7 @@ class PlacedPrior:
 
     def as_box(self) -> Box:
         """The prior's shape centered on its cell's center, in image pixels: the decode of zero offsets."""
-        return decode(RawPrediction(0.0, 0.0, 0.0, 0.0), self.cell, self.prior)
+        return decode(_NO_OFFSET, self.cell, self.prior)
 
 
 @dataclass(frozen=True)

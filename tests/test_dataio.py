@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -150,6 +151,20 @@ class TestLoadDataset:
     def test_empty_category_list_rejected(self, tmp_path):
         doc = _minimal_doc(categories=[], annotations=[])
         with pytest.raises(ValidationError, match="gt.json: at least one category"):
+            load_dataset(_write(tmp_path, "gt.json", doc))
+
+    @pytest.mark.parametrize("section,entries,message", [
+        ("images", [{"id": 1, "width": 100, "height": 100}, 5], "image #1: image entries must be objects"),
+        ("images", [{"id": 1, "width": 100, "height": 100}, {"id": True, "width": 1, "height": 1}],
+         "image #1: image id must be an integer, got True"),
+        ("categories", [{"id": 1, "name": "thing"}, {"id": 2, "name": 3}], "category 2: name must be a string"),
+        ("annotations", [{"id": k, "image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]} for k in range(4)] + ["x"],
+         "annotation #4: annotation entries must be objects"),
+    ], ids=["non-object-image", "bool-image-id", "category-name", "non-object-annotation"])
+    def test_a_bad_entry_is_named_with_the_file(self, tmp_path, section, entries, message):
+        # an entry is named by its position in its section until its id is read, then by its id
+        doc = _minimal_doc(**{section: entries})
+        with pytest.raises(ValidationError, match=rf"gt\.json: {re.escape(message)}$"):
             load_dataset(_write(tmp_path, "gt.json", doc))
 
     def test_negative_category_id_named(self, tmp_path):

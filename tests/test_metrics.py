@@ -904,6 +904,54 @@ class TestRegistryValidation:
         assert registry.categories == {1: "1", 2: "2"}
 
 
+# Truth sets as (image ids, classes, truths): images declared out of id order, truths interleaved across
+# images, some declared classes without a truth.
+@st.composite
+def truth_sets(draw):
+    image_ids = draw(st.permutations(draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))))
+    classes = draw(st.lists(st.integers(0, 8), min_size=1, max_size=5, unique=True))
+    owners = draw(st.lists(st.tuples(st.sampled_from(image_ids), st.sampled_from(classes)), max_size=25))
+    truths = [GroundTruth(image, cls, Box(5.0, 5.0, 1.0 + k, 2.0)) for k, (image, cls) in enumerate(owners)]
+    return image_ids, classes, truths
+
+
+class TestTruthOrder:
+    @given(truth_sets())
+    @example(([9, 2], [3, 1], [GroundTruth(2, 1, Box(5, 5, 1, 2)), GroundTruth(9, 1, Box(5, 5, 2, 2)),
+                               GroundTruth(2, 1, Box(5, 5, 3, 2))]))
+    def test_counts_and_order_are_read_from_the_truths_given(self, drawn):
+        image_ids, classes, truths = drawn
+        registry = GroundTruthSet([ImageInfo(i, 10, 10) for i in image_ids], classes, truths)
+        assert registry.total_count == len(truths)
+        for cls in [*classes, max(classes) + 1]:  # the last is declared by no set
+            assert registry.class_count(cls) == len([gt for gt in truths if gt.class_id == cls])
+        assert registry.classes_with_truth() == tuple(sorted({gt.class_id for gt in truths}))
+        # image by image in registry order, input order within an image
+        assert registry._truths == tuple(gt for image in image_ids for gt in truths if gt.image_id == image)
+
+    def test_equality_compares_each_images_truths_whatever_the_registry_order(self):
+        a, b, c = (GroundTruth(image, 1, Box(5, 5, width, 2)) for image, width in ((2, 1), (9, 2), (2, 3)))
+        first, second = ([ImageInfo(i, 10, 10) for i in ids] for ids in ([9, 2], [2, 9]))
+        assert GroundTruthSet(first, [1], [a, b, c]) == GroundTruthSet(second, [1], [b, a, c])
+        assert GroundTruthSet(first, [1], [a, b, c]) != GroundTruthSet(second, [1], [c, b, a])
+
+    def test_the_views_never_gather_truths_per_image(self, monkeypatch):
+        truths = _truths([(1, 1, (0, 0, 10, 10)), (2, 2, (5, 5, 25, 25)), (3, 1, (0, 0, 40, 40))])
+        dets = _dets([(1, 1, 0.9, (0, 0, 10, 10)), (2, 2, 0.8, (5, 5, 20, 25)), (3, 2, 0.7, (0, 0, 40, 40))])
+        calls = []
+        gather = GroundTruthSet.for_image
+
+        def counting(self, image_id):
+            calls.append(image_id)
+            return gather(self, image_id)
+
+        monkeypatch.setattr(GroundTruthSet, "for_image", counting)
+        evaluate(dets, truths)
+        coco_ap(dets, truths)
+        pr_curve(dets, truths, 0.5, 1)
+        assert calls == []
+
+
 class TestImageInfo:
     @pytest.mark.parametrize(
         "width,height",

@@ -1,13 +1,14 @@
 """The order rules every output rests on, each stated once in geometry, and the one results writer.
 
-_visit_order is the one visit order of every ranking and greedy pass: by
-descending score, ties in input order.  _ranked is the one pair order, in
-which every greedy match scan reads its candidates: by row, then descending
-value, then lower column.  _sum_in_order is the one sum behind every mean and
-loss: left to right, as sum() added floats before Python 3.12 compensated it.
-dataio.results_document is the one code that writes a results record.  The
-guard below reads the package source, so a second copy of any of them cannot
-come back unnoticed.
+_visit_order is the one visit order of every ranking and greedy pass: a
+float64 score column ranked by descending score, ties in input order.
+_ranked is the one pair order, in which every greedy match scan reads its
+candidates: by row, then descending value, then lower column.  _sum_in_order
+is the one sum behind every mean and loss: left to right, as sum() added
+floats before Python 3.12 compensated it.  dataio.results_document is the one
+code that writes a results record.  The guard below reads the package source,
+so a second copy of any of them cannot come back unnoticed: a score sort is
+one that reads an object's .score or a score column by name.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import ast
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given
@@ -42,11 +42,15 @@ RECORD_WRITER_SITE = ("dataio", "results_document")
 
 
 def _reads_score(node: ast.AST) -> bool:
-    return any(isinstance(n, ast.Attribute) and n.attr == "score" for n in ast.walk(node))
+    """True where node reads an object's .score, or a score column by its name: scores or columns.scores."""
+    return any(
+        isinstance(n, ast.Attribute) and n.attr in ("score", "scores") or isinstance(n, ast.Name) and n.id == "scores"
+        for n in ast.walk(node)
+    )
 
 
 class _OrderRuleFinder(ast.NodeVisitor):
-    """Collects builtin sum() calls, sorts whose arguments or key read a .score, lexsorts, and dicts with every results-record key.
+    """Collects builtin sum() calls, sorts whose arguments or key read a score, lexsorts, and dicts with every results-record key.
 
     A dict counts whether it is a display or a dict() call with keywords.
     Sorts, lexsorts and dicts are collected with their enclosing function.
@@ -109,17 +113,20 @@ class TestOneCopyOfEachRule:
         assert [(module, scope) for module, scope, _ in found] == [PAIR_ORDER_SITE]
 
     def test_the_guard_sees_both_kinds_of_copy(self):
-        # The two score sorts and the hand sum the rules replaced, as they would read if put back.
+        # The two score sorts and the hand sum the rules replaced, as they would read if put back,
+        # and a copy of the visit order over a score column.
         finder = _find(
             "def _sweep_order(detections):\n"
             "    return sorted(detections, key=lambda d: (-d.score, d.index))\n"
             "def nms(detections):\n"
             "    return sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))\n"
             "def _mean(values):\n"
-            "    return sum(values) / len(values)\n",
+            "    return sum(values) / len(values)\n"
+            "def _sweep(columns):\n"
+            "    return np.argsort(-columns.scores, kind='stable')\n",
             "metrics",
         )
-        assert finder.score_sorts == [("metrics", "_sweep_order", 2), ("metrics", "nms", 4)]
+        assert finder.score_sorts == [("metrics", "_sweep_order", 2), ("metrics", "nms", 4), ("metrics", "_sweep", 8)]
         assert finder.sums == [("metrics", 6)]
 
     def test_only_results_document_writes_a_record(self):
@@ -150,8 +157,9 @@ class TestVisitOrder:
     @given(st.lists(tied_scores, max_size=80))
     @example([0.5] * 40 + [0, -0.0, 0.0, 1, 1.0] * 8)
     def test_is_descending_score_then_input_position(self, scores):
-        items = [SimpleNamespace(score=s) for s in scores]
-        assert _visit_order(items).tolist() == sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        assert _visit_order(np.array(scores, dtype=np.float64)).tolist() == sorted(
+            range(len(scores)), key=lambda i: (-scores[i], i)
+        )
 
 
 # Pair values with ties across spellings (0.0 and -0.0), the infinities, and any finite float.

@@ -526,6 +526,20 @@ class TestAssignmentAtYoloV3Scale:
         array = np.array(ious)
         assert assign(array, len(truths)) == assign(array.tolist(), len(truths))
 
+    @pytest.mark.parametrize("assign", [assign_yolo, assign_dual_threshold])
+    def test_prior_boxes_decode_one_shared_zero_offset(self, scene, monkeypatch, assign):
+        placed, truths, _ = scene
+        made = []
+        init = RawPrediction.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RawPrediction, "__init__", counting)
+        assign(placed, truths)
+        assert made == []
+
 
 class TestPlacedPrior:
     @given(cell_indices, cell_indices, strides, prior_sizes, prior_sizes)
