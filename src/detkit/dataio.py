@@ -14,6 +14,7 @@ per-image APs expose.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
@@ -98,7 +99,15 @@ def _read_text(path: str | Path) -> str:
 
 
 def _load_json(path: str | Path):
+    """The parsed document, read with the cyclic GC paused.
+
+    json.loads builds many containers and no cycle, so a collection during the
+    parse frees nothing.  The GC's state before the call is restored, whether
+    parsing succeeds or not.
+    """
     text = _read_text(path)
+    paused = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -107,6 +116,9 @@ def _load_json(path: str | Path):
         raise ParseError(f"{path}: {err}") from err
     except ValueError as err:  # past the interpreter's limit on digits in an integer
         raise ParseError(f"{path}: an integer literal is too long") from err
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _require_int(value, what: str) -> int:
@@ -223,8 +235,15 @@ def load_results(path: str | Path, ground_truths: GroundTruthSet) -> DetectionRe
     """Read a flat detection-results document, validated against a dataset's registry.
 
     Records keep file order, which fixes tie-breaking between equal scores.
+    A record that breaks the file format or a rule of the type it becomes
+    raises ValidationError naming the file and the record by its position
+    (result #0).
     """
-    return _results_set(path, _load_json(path), ground_truths)
+    doc = _load_json(path)
+    try:
+        return _results_set(path, doc, ground_truths)
+    except ValidationError as err:  # the walk named the record: name the file too
+        raise ValidationError(f"{path}: {err}") from err
 
 
 def _results_set(path: str | Path, doc, ground_truths: GroundTruthSet) -> DetectionResultSet:

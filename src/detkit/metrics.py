@@ -4,9 +4,12 @@ Every metric is a view over one matching pass: ids are checked once, the IOU
 of every same-(image, class) (detection, truth) pair is computed once into
 one pair table, and one greedy scan over it matches at every threshold.  A
 view is detection indices in key order (by class, by image, or one key for
-the global ranking), with a truth count per key.  A detection matched at IOU
-0.5 belongs to its truth's size band, decided once per truth; other bands
-mask it out of both their ranking and their re-matching.
+the global ranking), with a truth count per key.  Each AP is taken over a
+key's hits alone, one point per matched detection ranked as in the full
+sweep, which gives the full sweep's AP bit for bit (see _Evaluation._aps);
+pr_curve alone walks every point.  A detection matched at IOU 0.5 belongs to
+its truth's size band, decided once per truth; other bands mask it out of
+both their ranking and their re-matching.
 
 match alone keeps its own pass over one (image, class) group.  As a view it
 would build the pass for every group of the set to answer for one, about four
@@ -415,35 +418,42 @@ class _Evaluation:
         """Each detection's matched truth position, or -1, by the greedy scan over the pairs where pairs is True."""
         return _greedy(self.pair_det[pairs], self.pair_truth[pairs], len(self.class_of))
 
-    def _sweeps(
-        self, index: np.ndarray, key_of: np.ndarray, counts: np.ndarray, matches: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """The keys that hold a truth, ascending, and per match map their PR sweeps.
+    @staticmethod
+    def _aps(index, key_of, counts, matches, interpolation: str) -> tuple[list[int], list[list[float]]]:
+        """The keys that hold a truth, ascending, and per match map their APs, each taken over the map's hits alone.
 
         index holds detection indices in key order, sweep order within a key;
-        key_of[d] is detection d's key and counts[k] key k's truth count.  A
-        detection whose key holds no truth is dropped.  Each sweep is (recall,
-        precision, lengths): the keys' sweeps laid end to end, the k-th key's
-        the next lengths[k] points.
+        key_of[d] is detection d's key and counts[k] key k's truth count.
+        Detection d is a hit where matched[d] >= 0, and a hit's key holds the
+        truth it matched.  Each hit is one point of its key's PR sweep: tp is
+        its hit count within the key and its rank its position in the key's
+        sweep plus 1, so recall is tp / counts[key] and precision tp / rank.  A
+        key with truth but no hit has no point and reads 0.0; a key without
+        truth is dropped.
+
+        Why this is the AP of the full sweep over every detection, bit for bit:
+        - recall rises only at a hit, and the point before a hit holds the
+          previous hit's recall, so each rise is the same float;
+        - a miss has the tp of the last hit before it and a larger rank, and
+          float division is monotone, so its precision is no higher (0 before
+          the first hit): the envelope at each hit is the maximum over later
+          hits;
+        - the first point to reach a 101-point sample above 0 is the hit at
+          which recall rose to it, and sample 0 reads the sweep's first point,
+          whose envelope is the sweep's maximum: the first hit's envelope, or 0
+          with no hit.
         """
         lengths = np.bincount(key_of[index], minlength=len(counts))
-        index = index[np.repeat(counts > 0, lengths)]
+        first = np.cumsum(lengths) - lengths  # each key's first position in index
         keys = np.flatnonzero(counts)
-        lengths = lengths[keys]
-        before = np.repeat(np.cumsum(lengths) - lengths, lengths)  # sweep positions ahead of each key's first
-        num_gt = np.repeat(counts[keys], lengths)
-        ranked = np.arange(len(index)) - before + 1  # tp + fp
         out = []
         for matched in matches:
-            hits = np.cumsum(matched[index] >= 0)
-            tp = hits - np.concatenate(([0], hits))[before]
-            out.append((tp / num_gt, tp / ranked, lengths))
-        return keys, out
-
-    def _aps(self, index, key_of, counts, matches, interpolation: str) -> tuple[list[int], list[list[float]]]:
-        """The keys that hold a truth, ascending, and per match map their APs (arguments as for _sweeps)."""
-        keys, sweeps = self._sweeps(index, key_of, counts, matches)
-        return keys.tolist(), [_ap_rows(*sweep, interpolation).tolist() for sweep in sweeps]
+            hit = np.flatnonzero(matched[index] >= 0)  # positions in index, in key order
+            key = key_of[index[hit]]
+            hits = np.bincount(key, minlength=len(counts))
+            tp = np.arange(1, len(hit) + 1) - (np.cumsum(hits) - hits)[key]
+            out.append(_ap_rows(tp / counts[key], tp / (hit - first[key] + 1), hits[keys], interpolation).tolist())
+        return keys.tolist(), out
 
     def class_aps(self, iou_threshold: float, interpolation: str) -> dict[int, float]:
         counts = np.bincount(self.truth_class, minlength=len(self.classes))
@@ -502,11 +512,9 @@ def pr_curve(
     num_gt = ground_truths.class_count(class_id)
     if num_gt == 0:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
-    counts = np.bincount(evaluation.truth_class, minlength=len(evaluation.classes))
-    _, ((recall, precision, _),) = evaluation._sweeps(
-        evaluation.order, evaluation.class_of, counts, [evaluation.matched[iou_threshold]]
-    )
-    return PRCurve(tuple(zip(recall.tolist(), precision.tolist())), num_gt)
+    # every point of the sweep: the order holds the class's detections alone
+    tp = np.cumsum(evaluation.matched[iou_threshold][evaluation.order] >= 0)
+    return PRCurve(tuple(zip((tp / num_gt).tolist(), (tp / np.arange(1, len(tp) + 1)).tolist())), num_gt)
 
 
 def _ap_rows(recall: np.ndarray, precision: np.ndarray, lengths: Sequence[int], interpolation: str) -> np.ndarray:

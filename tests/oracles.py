@@ -20,6 +20,9 @@ the same labels on any matrix, NaN and infinities included.
 oracle_greedy is the nested-loop greedy match over an IOU matrix's rows, so
 that geometry's ranked-pair scan can be required to give the same columns on
 any matrix.
+oracle_sweep_aps is the full-sweep AP route, a point per ranked detection
+(hit or miss) fed to the library's _ap_rows, so that the engine's AP over
+hits alone can be required to give the same floats bit for bit.
 compensated_sum is not an oracle but a stand-in: Python 3.12's sum() of
 floats, for running the library as a newer interpreter would.
 """
@@ -50,6 +53,7 @@ from detkit import (
     ScoredBox,
 )
 from detkit.dataio import _read_text
+from detkit.metrics import _ap_rows
 
 Corners = tuple[float, float, float, float]
 
@@ -279,6 +283,30 @@ def oracle_greedy(rows: Sequence[Sequence[float]], iou_threshold: float) -> list
         if best is not None:
             taken.add(best)
     return out
+
+
+def oracle_sweep_aps(
+    index: np.ndarray, key_of: np.ndarray, counts: np.ndarray, matches: Sequence[np.ndarray], interpolation: str
+) -> tuple[list[int], list[list[float]]]:
+    """The keys that hold a truth, ascending, and per match map their APs over every point of each key's sweep.
+
+    Arguments as for metrics._Evaluation._aps.  A detection whose key holds no
+    truth is dropped; every other one is a point: recall tp / counts[key] and
+    precision tp / (tp + fp), with the key's sweeps laid end to end.
+    """
+    lengths = np.bincount(key_of[index], minlength=len(counts))
+    index = index[np.repeat(counts > 0, lengths)]
+    keys = np.flatnonzero(counts)
+    lengths = lengths[keys]
+    before = np.repeat(np.cumsum(lengths) - lengths, lengths)  # sweep positions ahead of each key's first
+    num_gt = np.repeat(counts[keys], lengths)
+    ranked = np.arange(len(index)) - before + 1  # tp + fp
+    out = []
+    for matched in matches:
+        hits = np.cumsum(matched[index] >= 0)
+        tp = hits - np.concatenate(([0], hits))[before]
+        out.append(_ap_rows(tp / num_gt, tp / ranked, lengths, interpolation).tolist())
+    return keys.tolist(), out
 
 
 def oracle_assign_dual_threshold_from_ious(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -237,6 +238,58 @@ class TestLoadResults:
         doc = [{"image_id": 1, "category_id": 4, "bbox": [0, 0, 5, 5], "score": 0.5}]
         with pytest.raises(ValidationError, match=r"result #0: unknown category 4"):
             load_results(_write(tmp_path, "res.json", doc), truths)
+
+    def test_error_names_the_file_first(self, tmp_path):
+        truths = load_dataset(_write(tmp_path, "gt.json", _minimal_doc()))
+        doc = [{"image_id": 999, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5}]
+        path = _write(tmp_path, "bad_dets.json", doc)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: result #0: unknown image 999$"):
+            load_results(path, truths)
+
+
+class TestJsonParseGc:
+    """Documents are parsed with the cyclic GC paused, and its state is restored however the parse ends."""
+
+    @pytest.fixture
+    def gc_during_parse(self, monkeypatch):
+        """A list that gains gc.isenabled() at each json.loads call."""
+        seen = []
+        loads = json.loads
+
+        def recording(text):
+            seen.append(gc.isenabled())
+            return loads(text)
+
+        monkeypatch.setattr(dataio.json, "loads", recording)
+        return seen
+
+    @pytest.fixture
+    def gc_on(self):
+        """The GC on for the test, and as it was after it."""
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        if not was:
+            gc.disable()
+
+    def test_paused_while_parsing_and_restored_after(self, tmp_path, gc_on, gc_during_parse):
+        load_dataset(_write(tmp_path, "gt.json", _minimal_doc()))
+        assert gc_during_parse == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_parse_error(self, tmp_path, gc_on, gc_during_parse):
+        with pytest.raises(ParseError):
+            load_dataset(_write(tmp_path, "gt.json", "{not json"))
+        assert gc_during_parse == [False]
+        assert gc.isenabled()
+
+    def test_left_off_when_it_was_off(self, tmp_path, gc_on, gc_during_parse):
+        gc.disable()
+        load_dataset(_write(tmp_path, "gt.json", _minimal_doc()))
+        with pytest.raises(ParseError):
+            load_dataset(_write(tmp_path, "bad.json", "[1,"))
+        assert gc_during_parse == [False, False]
+        assert not gc.isenabled()
 
 
 class TestResultsRoundTrip:

@@ -417,6 +417,98 @@ class TestArrayApMatchesScalarOracle:
         assert per_image_ap(dets, truths) == (_left_to_right_mean(per_image) if per_image else None)
 
 
+def _sweep_inputs(counts, keys, kept, flags):
+    """_aps arguments from plain lists: detection d has key keys[d], and the index holds the kept ones in key
+    order, each key's in the order given.  Map m gives a detection of the index a truth where flags[m] is
+    True, while its key has a truth left."""
+    counts, key_of = np.array(counts, dtype=np.intp), np.array(keys, dtype=np.intp)
+    index = np.array(kept, dtype=np.intp)
+    index = index[np.argsort(key_of[index], kind="stable")]
+    matches = []
+    for hit in flags:
+        matched, left = np.full(len(key_of), -1, dtype=np.intp), counts.copy()
+        for d in index.tolist():
+            if hit[d] and left[key_of[d]] > 0:
+                left[key_of[d]] -= 1
+                matched[d] = left[key_of[d]]
+        matches.append(matched)
+    return index, key_of, counts, matches
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Up to 6 keys of 0-4 truths each, up to 40 detections in a random order, some left out of the index
+    (as a size band leaves out the detections another band owns), and 1-4 match maps of varied hit rates."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    keys = draw(st.lists(st.integers(0, len(counts) - 1), max_size=40))
+    n = len(keys)
+    left_out = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kept = [d for d in draw(st.permutations(range(n))) if not left_out[d]]
+    rates = draw(st.lists(st.sampled_from((0.0, 0.2, 0.5, 1.0)), min_size=1, max_size=4))
+    flags = [draw(st.lists(st.floats(0, 1, exclude_max=True).map(lambda u, r=r: u < r), min_size=n, max_size=n))
+             for r in rates]
+    return _sweep_inputs(counts, keys, kept, flags)
+
+
+class TestHitApsMatchFullSweep:
+    """The engine's APs over hits alone are the full sweep's APs, over every ranked detection, bit for bit."""
+
+    @staticmethod
+    def _assert_same(index, key_of, counts, matches):
+        for mode in INTERPOLATION_MODES:
+            keys, got = metrics._Evaluation._aps(index, key_of, counts, matches, mode)
+            want_keys, want = oracles.oracle_sweep_aps(index, key_of, counts, matches, mode)
+            assert keys == want_keys, mode
+            assert [[v.hex() for v in aps] for aps in got] == [[v.hex() for v in aps] for aps in want], mode
+
+    def test_pinned_keys(self):
+        # key 0: misses before its first hit and after its last; key 1: detections but no truth, dropped;
+        # key 2: all misses in the first map, hits in the second; key 3: truth but no detection
+        counts, keys = [3, 0, 2, 1], [0, 0, 0, 0, 0, 1, 1, 2, 2, 2]
+        flags = [[False, True, False, True, False, False, False, False, False, False],
+                 [True, True, True, True, True, False, False, False, True, True]]
+        case = _sweep_inputs(counts, keys, list(range(len(keys))), flags)
+        keys, aps = metrics._Evaluation._aps(*case, "continuous")
+        assert keys == [0, 2, 3]
+        assert aps == [pytest.approx([1 / 3, 0.0, 0.0]), pytest.approx([1.0, 2 / 3, 0.0])]
+        self._assert_same(*case)
+
+    @given(sweep_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_keys(self, case):
+        self._assert_same(*case)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_every_view_of_an_evaluation(self, seed):
+        """The index, keys, counts and maps each view of an evaluate passes, from random scenarios."""
+        dets, truths = oracles.to_library(oracles.random_scenario(seed, 3, 3, 8, 25))
+        evaluation = metrics._Evaluation(dets, truths, COCO_IOU_THRESHOLDS)
+        maps = [evaluation.matched[t] for t in COCO_IOU_THRESHOLDS]
+        self._assert_same(evaluation.by_class, evaluation.class_of,
+                          np.bincount(evaluation.truth_class, minlength=len(evaluation.classes)), maps)
+        self._assert_same(evaluation.by_image, evaluation.image_of,
+                          np.bincount(evaluation.truth_image, minlength=len(evaluation.images)), maps)
+        self._assert_same(evaluation.order, np.zeros(len(evaluation.class_of), dtype=np.intp),
+                          np.array([len(evaluation.truth_class)]), maps)
+
+    def test_no_sweep_holds_more_points_than_there_are_truths(self, monkeypatch):
+        """Every AP of an evaluate is taken over hits alone: a map's hits take distinct truths, so no _ap_rows call
+        gets more points than there are truths, though the detections outnumber them."""
+        dets, truths = oracles.to_library(oracles.random_scenario(7, 3, 3, 6, 60))
+        assert len(dets) > 2 * truths.total_count > 0
+        sizes = []
+        ap_rows = metrics._ap_rows
+
+        def counting(recall, precision, lengths, interpolation):
+            sizes.append(len(recall))
+            return ap_rows(recall, precision, lengths, interpolation)
+
+        monkeypatch.setattr(metrics, "_ap_rows", counting)
+        evaluate(dets, truths)
+        assert sizes and max(sizes) <= truths.total_count
+
+
 @st.composite
 def band_scenarios(draw) -> oracles.Scenario:
     """Clusters of overlapping same-class truths whose areas straddle a band boundary."""
