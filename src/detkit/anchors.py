@@ -137,7 +137,7 @@ def _update_centroids(
 ) -> np.ndarray:
     """Componentwise means per cluster; empty clusters re-seed from the farthest sample."""
     k = centroids.shape[0]
-    new = np.empty_like(centroids)
+    new = centroids.copy()  # an empty cluster keeps its old row until re-seeded, so _distances reads no unset memory
     empties = []
     for c in range(k):
         members = dims[assignments == c]

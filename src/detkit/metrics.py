@@ -372,18 +372,10 @@ class _Evaluation:
     a pair still ranks as a false positive.  matched[t][d] is the position of
     the truth detection d takes at threshold t, or -1.  Each truth's size band
     is decided once.  Every view is detection indices in key order, a key per
-    detection and a truth count per key.  Given class_id, only that class's
-    detections are ranked and matched (none for an undeclared one); all are
-    checked.
+    detection and a truth count per key.
     """
 
-    def __init__(
-        self,
-        detections: DetectionResultSet,
-        ground_truths: GroundTruthSet,
-        thresholds: Sequence[float],
-        class_id: int | None = None,
-    ) -> None:
+    def __init__(self, detections: DetectionResultSet, ground_truths: GroundTruthSet, thresholds: Sequence[float]) -> None:
         image_ids, class_ids, scores, centers, _ = _check_inputs(detections, ground_truths, thresholds)
         self.images, self.classes = sorted(ground_truths.images), sorted(ground_truths.categories)
         truths = ground_truths._truths
@@ -392,9 +384,6 @@ class _Evaluation:
         self.truth_class = _codes([gt.class_id for gt in truths], self.classes)
         self.truth_band = np.array([AREA_BANDS.index(area_band(gt.box)) for gt in truths], dtype=np.intp)
         self.order = _visit_order(scores)
-        if class_id is not None:
-            scope = self.classes.index(class_id) if class_id in ground_truths.categories else -1
-            self.order = self.order[self.class_of[self.order] == scope]
         self.by_class = self.order[np.argsort(self.class_of[self.order], kind="stable")]
         self.by_image = self.order[np.argsort(self.image_of[self.order], kind="stable")]
         # truth positions sorted by (image, class) group; each swept detection's group is a run of them
@@ -483,11 +472,9 @@ class _Evaluation:
         return CocoAPResult(ap, by_threshold[0.5], by_threshold[0.75], by_threshold)
 
     def global_ap(self, iou_threshold: float) -> float | None:
-        if len(self.truth_class) == 0:
-            return None
         one_key, count = np.zeros(len(self.class_of), dtype=np.intp), np.array([len(self.truth_class)])
-        _, ((ap,),) = self._aps(self.order, one_key, count, [self.matched[iou_threshold]], "continuous")
-        return ap
+        _, (aps,) = self._aps(self.order, one_key, count, [self.matched[iou_threshold]], "continuous")
+        return _mean(aps)
 
     def per_image_ap(self, iou_threshold: float) -> float | None:
         counts = np.bincount(self.truth_image, minlength=len(self.images))
@@ -505,16 +492,23 @@ def pr_curve(
 
     The recall denominator is the total ground-truth count of the class;
     raises NoGroundTruthError when that count is zero (callers exclude such
-    classes from any mean).  Every detection is checked, but only the class's
-    own are matched.
+    classes from any mean).  Every detection is checked, then the engine runs
+    over the class's records alone: its detections, in input order, and its
+    truths, in the truth order, over the same images and categories.
     """
-    evaluation = _Evaluation(detections, ground_truths, (iou_threshold,), class_id)
-    num_gt = ground_truths.class_count(class_id)
-    if num_gt == 0:
+    image_ids, class_ids, scores, centers, _ = _check_inputs(detections, ground_truths, (iou_threshold,))
+    truths = [gt for gt in ground_truths._truths if gt.class_id == class_id]
+    if not truths:
         raise NoGroundTruthError(f"no ground truth for class {class_id}")
-    # every point of the sweep: the order holds the class's detections alone
+    own = [i for i, c in enumerate(class_ids) if c == class_id]
+    own_detections = DetectionResultSet._from_columns(
+        [image_ids[i] for i in own], [class_ids[i] for i in own], scores[own], centers[own], None
+    )
+    own_truths = GroundTruthSet(ground_truths.images.values(), ground_truths.categories, truths)
+    evaluation = _Evaluation(own_detections, own_truths, (iou_threshold,))
+    # every point of the sweep, in the visit order of the class's detections
     tp = np.cumsum(evaluation.matched[iou_threshold][evaluation.order] >= 0)
-    return PRCurve(tuple(zip((tp / num_gt).tolist(), (tp / np.arange(1, len(tp) + 1)).tolist())), num_gt)
+    return PRCurve(tuple(zip((tp / len(truths)).tolist(), (tp / np.arange(1, len(tp) + 1)).tolist())), len(truths))
 
 
 def _ap_rows(recall: np.ndarray, precision: np.ndarray, lengths: Sequence[int], interpolation: str) -> np.ndarray:
@@ -532,15 +526,12 @@ def _ap_rows(recall: np.ndarray, precision: np.ndarray, lengths: Sequence[int], 
     # (-sweep, precision) pairs, held exactly as complex numbers, which numpy orders by real part first
     envelope = np.maximum.accumulate((-row + 1j * precision)[::-1])[::-1].imag
     if interpolation == "continuous":
-        # per point, the recall gained over the point before it in its sweep (over 0 at the first)
-        before = (ends - lengths)[row]
-        rise = recall - np.where(np.arange(len(row)) == before, 0.0, np.roll(recall, 1))
-        up = rise > 0.0
-        # only points that gain recall add area; sweep k's n-th such point adds it in column n of row k
-        rises = np.cumsum(up)
-        column = rises - np.concatenate(([0], rises))[before] - 1
-        area = np.zeros((len(lengths), column.max(initial=-1) + 2))
-        area[row[up], column[up]] = rise[up] * envelope[up]
+        # per point, its position in its sweep and the recall gained over the point before it (over 0 at the first)
+        column = np.arange(len(row)) - (ends - lengths)[row]
+        rise = recall - np.where(column == 0, 0.0, np.roll(recall, 1))
+        # sweep k's n-th point adds its area in column n of row k; a point without a rise adds 0.0
+        area = np.zeros((len(lengths), lengths.max(initial=1)))
+        area[row, column] = rise * envelope
         return np.cumsum(area, axis=1)[:, -1]
     # per point, how many samples its recall reaches; per sweep and sample, how many of its points fall short
     reached = np.searchsorted(_RECALL_SAMPLES, recall, side="right")

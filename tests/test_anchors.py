@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,33 @@ class TestKmeansAnchors:
         hist = result.objective_history
         assert all(later <= earlier for earlier, later in zip(hist, hist[1:]))
         assert len(result.centroids) == k
+
+
+class TestEmptyCluster:
+    dims = np.array([[1.0, 1.0], [2.0, 2.0], [10.0, 10.0], [11.0, 9.0]])
+    assignments = np.array([0, 0, 1, 1])
+    centroids = np.array([[1.5, 1.5], [10.5, 9.5], [5.0, 5.0]])  # cluster 2 holds no sample
+
+    @pytest.mark.parametrize("mode", ["iou", "euclidean"])
+    def test_reseeds_from_the_farthest_sample(self, mode):
+        new = anchors._update_centroids(self.dims, self.assignments, self.centroids, mode)
+        assert new.tolist() == [[1.5, 1.5], [10.5, 9.5], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("mode", ["iou", "euclidean"])
+    def test_reads_no_unwritten_row(self, mode, monkeypatch):
+        # stale memory in an unwritten centroid row overflowed the distance products
+        empty_like = np.empty_like
+
+        def stale(*args, **kwargs):
+            made = empty_like(*args, **kwargs)
+            made.fill(1e300)
+            return made
+
+        monkeypatch.setattr(np, "empty_like", stale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = anchors._update_centroids(self.dims, self.assignments, self.centroids, mode)
+        assert new[2].tolist() == [1.0, 1.0]
 
 
 class TestCountArguments:

@@ -239,6 +239,31 @@ class TestPRCurve:
         assert curve.ap == 0.0
 
 
+class TestPRCurveRecords:
+    def test_reads_only_the_requested_class_records(self, monkeypatch):
+        # class 1: two truths and two detections; class 2: three truths and four detections
+        truths = _truths([(1, 1, (0, 0, 10, 10)), (1, 2, (50, 50, 60, 60)), (2, 2, (0, 0, 40, 40)),
+                          (2, 1, (5, 5, 25, 25)), (2, 2, (60, 60, 99, 99))])
+        dets = _dets([(1, 2, 0.9, (50, 50, 60, 60)), (1, 1, 0.8, (0, 0, 10, 10)), (2, 2, 0.7, (0, 0, 40, 40)),
+                      (2, 2, 0.6, (1, 1, 40, 40)), (2, 1, 0.5, (5, 5, 24, 25)), (1, 2, 0.4, (0, 0, 5, 5))])
+        banded, coded = [], []
+        area_band, codes = metrics.area_band, metrics._codes
+
+        def banding(box):
+            banded.append(box)
+            return area_band(box)
+
+        def coding(ids, keys):
+            coded.append(len(ids))
+            return codes(ids, keys)
+
+        monkeypatch.setattr(metrics, "area_band", banding)
+        monkeypatch.setattr(metrics, "_codes", coding)
+        assert pr_curve(dets, truths, 0.5, 1).points == ((0.5, 1.0), (1.0, 1.0))
+        assert banded == [Box.from_corners(0, 0, 10, 10), Box.from_corners(5, 5, 25, 25)]
+        assert coded and max(coded) <= 2
+
+
 class TestEnvelope:
     def test_running_max_from_the_right(self):
         pts = [(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)]
