@@ -138,18 +138,14 @@ class GridSpec:
     num_classes: int
 
     def __post_init__(self) -> None:
-        if self.grid_size <= 0 or self.anchors_per_cell <= 0 or self.num_classes <= 0:
-            raise ValueError(
-                "grid_size, anchors_per_cell and num_classes must all be positive, got "
-                f"{self.grid_size}/{self.anchors_per_cell}/{self.num_classes}"
-            )
-        if not (_is_whole(self.grid_size) and _is_whole(self.anchors_per_cell) and _is_whole(self.num_classes)):
-            raise ValueError(
-                "grid_size, anchors_per_cell and num_classes must all be whole numbers, got "
-                f"{self.grid_size}/{self.anchors_per_cell}/{self.num_classes}"
-            )
-        for name in ("grid_size", "anchors_per_cell", "num_classes"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        sizes = (self.grid_size, self.anchors_per_cell, self.num_classes)
+        shown = "{}/{}/{}".format(*sizes)
+        if any(n <= 0 for n in sizes):
+            raise ValueError(f"grid_size, anchors_per_cell and num_classes must all be positive, got {shown}")
+        if not all(map(_is_whole, sizes)):
+            raise ValueError(f"grid_size, anchors_per_cell and num_classes must all be whole numbers, got {shown}")
+        for name, n in zip(("grid_size", "anchors_per_cell", "num_classes"), sizes):
+            object.__setattr__(self, name, int(n))
 
     @property
     def channels_per_anchor(self) -> int:
@@ -212,20 +208,16 @@ def decode(pred: RawPrediction, cell: GridCell, prior: AnchorPrior) -> Box:
     The center is the sigmoid-squashed offset added to the cell origin and
     scaled by the stride; the size is the prior scaled by the exponentiated
     raw values.  Prior sizes are already in image pixels, so only the center
-    is stride-scaled.  An exp past the float range reads as an infinite
-    size, which Box rejects with its ValueError.
+    is stride-scaled.  A scale whose exp passes the float range reads as
+    infinite, so the size is infinite and Box rejects it with its ValueError.
     """
-    s = cell.stride
+    center_x = (sigmoid(pred.x) + cell.col) * cell.stride
+    center_y = (sigmoid(pred.y) + cell.row) * cell.stride
     try:
-        return Box(
-            (sigmoid(pred.x) + cell.col) * s,
-            (sigmoid(pred.y) + cell.row) * s,
-            prior.width * math.exp(pred.w),
-            prior.height * math.exp(pred.h),
-        )
+        scale_w, scale_h = math.exp(pred.w), math.exp(pred.h)
     except OverflowError:  # an exp past the float range reads as infinity, which the Box rule rejects
         scale_w, scale_h = (math.exp(t) if t <= _EXP_MAX else math.inf for t in (pred.w, pred.h))
-    return Box((sigmoid(pred.x) + cell.col) * s, (sigmoid(pred.y) + cell.row) * s, prior.width * scale_w, prior.height * scale_h)
+    return Box(center_x, center_y, prior.width * scale_w, prior.height * scale_h)
 
 
 def encode(box: Box, cell: GridCell, prior: AnchorPrior) -> tuple[float, float, float, float]:

@@ -305,6 +305,13 @@ class TestLayout:
         )
         assert code == EXIT_USAGE_ERROR
 
+    def test_non_integer_position_is_usage_error(self):
+        code, _, err = run_cli(
+            ["layout", "--grid", "13", "--anchors", "3", "--classes", "80", "--at", "1,2,x,4"]
+        )
+        assert code == EXIT_USAGE_ERROR
+        assert "argument --at: invalid literal for int() with base 10: 'x'" in err
+
     def test_non_positive_grid_is_semantic_error(self):
         code, _, _ = run_cli(["layout", "--grid", "0", "--anchors", "3", "--classes", "80"])
         assert code == EXIT_SEMANTIC_ERROR

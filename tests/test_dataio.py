@@ -161,7 +161,11 @@ class TestLoadDataset:
         ("categories", [{"id": 1, "name": "thing"}, {"id": 2, "name": 3}], "category 2: name must be a string"),
         ("annotations", [{"id": k, "image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]} for k in range(4)] + ["x"],
          "annotation #4: annotation entries must be objects"),
-    ], ids=["non-object-image", "bool-image-id", "category-name", "non-object-annotation"])
+        ("categories", [{"id": 1, "name": "a"}, {"id": 1, "name": "b"}], "duplicate category id 1"),
+        ("annotations", [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]}] * 2,
+         "duplicate annotation id 1"),
+    ], ids=["non-object-image", "bool-image-id", "category-name", "non-object-annotation",
+            "duplicate-category-id", "duplicate-annotation-id"])
     def test_a_bad_entry_is_named_with_the_file(self, tmp_path, section, entries, message):
         # an entry is named by its position in its section until its id is read, then by its id
         doc = _minimal_doc(**{section: entries})

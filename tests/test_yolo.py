@@ -107,6 +107,14 @@ class TestDecode:
         with pytest.raises(ValueError, match=rf"^box corners must be finite .*, {shown}\)$"):
             decode(RawPrediction(0.0, 0.0, w, h), GridCell(0, 0, 32.0), AnchorPrior(116.0, 90.0))
 
+    def test_a_size_past_the_float_range_keeps_the_decoded_center(self):
+        cell, prior = GridCell(3, 5, 32.0), AnchorPrior(116.0, 90.0)
+        box = decode(RawPrediction(1.0, -2.0, 0.0, 0.0), cell, prior)
+        shown = f"Box(center_x={box.center_x!r}, center_y={box.center_y!r}, width=inf, height=90.0)"
+        with pytest.raises(ValueError) as info:
+            decode(RawPrediction(1.0, -2.0, 710.0, 0.0), cell, prior)
+        assert str(info.value) == f"box corners must be finite and area positive and finite, got {shown}"
+
     @given(raw_offsets, raw_offsets, cell_indices, cell_indices, strides)
     def test_center_stays_inside_cell(self, tx, ty, col, row, stride):
         pred = RawPrediction(x=tx, y=ty, w=0.0, h=0.0)
@@ -215,6 +223,10 @@ class TestBce:
         with pytest.raises(ValueError):
             bce_loss(0.5, 2)
 
+    def test_gradient_rejects_a_target_other_than_0_or_1(self):
+        with pytest.raises(ValueError, match=r"^target must be 0 or 1, got 2$"):
+            bce_gradient_wrt_logit(0.0, 2)
+
     def test_gradient_at_zero_logit(self):
         assert bce_gradient_wrt_logit(0.0, 1) == -0.5
         assert bce_gradient_wrt_logit(0.0, 0) == 0.5
@@ -239,6 +251,11 @@ class TestAssignmentLabel:
     def test_positive_requires_index(self):
         with pytest.raises(ValueError):
             AssignmentLabel.positive(-1)
+
+    @pytest.mark.parametrize("kind", [AssignmentKind.IGNORED, AssignmentKind.NEGATIVE])
+    def test_only_positive_labels_carry_an_index(self, kind):
+        with pytest.raises(ValueError, match=rf"^{kind.value} labels carry no gt_index$"):
+            AssignmentLabel(kind, 0)
 
     def test_objectness_targets(self):
         assert objectness_target(AssignmentLabel.positive(0)) == 1.0
@@ -284,6 +301,10 @@ class TestAssignYolo:
     def test_requires_a_prior(self):
         with pytest.raises(ValueError):
             assign_yolo_from_ious([], num_ground_truths=1)
+
+    def test_rejects_an_ignore_threshold_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^ignore_threshold must lie in \[0, 1\], got 1\.5$"):
+            assign_yolo_from_ious([[0.2]], 1, ignore_threshold=1.5)
 
     def test_geometric_labels(self):
         cell = GridCell(col=0, row=0, stride=16.0)
@@ -692,6 +713,12 @@ class TestTensorLayout:
     @pytest.mark.parametrize("sizes, shown", [((0, 3, 80), "0/3/80"), ((13, -1.5, 80), "13/-1.5/80")])
     def test_spec_positive_message_unchanged(self, sizes, shown):
         message = rf"^grid_size, anchors_per_cell and num_classes must all be positive, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(*sizes)
+
+    @pytest.mark.parametrize("sizes, shown", [((13.5, 3, 80), "13.5/3/80"), ((13, math.nan, 80), "13/nan/80")])
+    def test_spec_whole_message_unchanged(self, sizes, shown):
+        message = rf"^grid_size, anchors_per_cell and num_classes must all be whole numbers, got {shown}$"
         with pytest.raises(ValueError, match=message):
             GridSpec(*sizes)
 
