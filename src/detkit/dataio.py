@@ -136,6 +136,16 @@ def _require_number(value, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _require_size(value, what: str) -> int | float:
+    """value as read where _require_number finds it finite, else that non-finite float.
+
+    An int size stays whole, so one past 2**53 keeps its low bits, and one
+    past the float range still reads as infinite.
+    """
+    number = _require_number(value, what)
+    return value if math.isfinite(number) else number
+
+
 # The per-record checks below raise without the record's name: the loader's
 # loop adds it when a check fails, so a valid record formats no message.
 
@@ -200,8 +210,8 @@ def _dataset(doc: dict) -> GroundTruthSet:
     """The GroundTruthSet of a document whose three sections are lists; a ValueError names the bad record."""
     images: list[ImageInfo] = []
     for image_id, entry in _entries(doc["images"], "image"):
-        width = _require_number(entry.get("width"), f"image {image_id}: width")
-        height = _require_number(entry.get("height"), f"image {image_id}: height")
+        width = _require_size(entry.get("width"), f"image {image_id}: width")
+        height = _require_size(entry.get("height"), f"image {image_id}: height")
         images.append(ImageInfo(image_id, width, height))
 
     categories: dict[int, str] = {}

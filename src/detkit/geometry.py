@@ -74,8 +74,18 @@ def _box_ok(center_x, center_y, width, height):
 
 
 def _score_ok(score):
-    """The score rule, on a number or elementwise on an array: score in [0, 1]."""
+    """The score rule, on a number or elementwise on an array: score in [0, 1].
+
+    The one unit-interval test: scores, IOU thresholds, probabilities, PR
+    points and cell offsets all read it.
+    """
     return (0.0 <= score) & (score <= 1.0)
+
+
+def _check_unit(name: str, value) -> None:
+    """Raise ValueError naming value unless it passes the score rule."""
+    if not _score_ok(value):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _center_form(left, top, width, height):
@@ -158,8 +168,7 @@ class ScoredBox:
     def __post_init__(self) -> None:
         if type(self.score) not in _PLAIN_NUMBERS:
             _store_floats(self, ("score",))
-        if not _score_ok(self.score):
-            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
+        _check_unit("score", self.score)
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id!r}")
         if not _is_whole(self.class_id):
@@ -191,11 +200,6 @@ def iou(a: Box, b: Box) -> float:
         inter /= 2.0
         union = area_a / 2.0 + area_b / 2.0 - inter
     return inter / union
-
-
-def _check_threshold(iou_threshold: float) -> None:
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
 
 
 # Candidates per suppression block.  A block costs one IOU matrix with a row
@@ -349,7 +353,7 @@ def _suppress(keys: Sequence, scores: np.ndarray, fields: np.ndarray, iou_thresh
     Each key's candidates run as one slice of _greedy_keep; a key's first
     candidate is always kept, so a key with one candidate needs no IOU.
     """
-    _check_threshold(iou_threshold)
+    _check_unit("iou_threshold", iou_threshold)
     order = _visit_order(scores)
     codes = _codes(keys, dict.fromkeys(keys))[order]  # each visit position's key
     keep = np.ones(len(order), dtype=bool)  # by visit position

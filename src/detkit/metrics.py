@@ -31,8 +31,8 @@ import numpy as np
 
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
 from .geometry import (  # noqa: F401
-    Box, ScoredBox, _box_fields, _check_threshold, _codes, _corner_rows, _greedy, _greedy_matrix, _iou_matrix, _is_whole,
-    _overlaps, _positive_count, _ranked, _sum_in_order, _visit_order, iou,
+    Box, ScoredBox, _box_fields, _check_unit, _codes, _corner_rows, _greedy, _greedy_matrix, _iou_matrix, _is_whole,
+    _overlaps, _positive_count, _ranked, _score_ok, _sum_in_order, _visit_order, iou,
 )
 
 SMALL_AREA_MAX = 32.0 * 32.0
@@ -167,7 +167,7 @@ class GroundTruthSet:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detection plus its position in the original input order."""
+    """One detection plus its position in its own set's input order (filter renumbers)."""
 
     image_id: int
     scored: ScoredBox
@@ -332,7 +332,7 @@ class PRCurve:
     def __post_init__(self) -> None:
         before = 0.0
         for i, (recall, precision) in enumerate(self.points):
-            if not (0.0 <= recall <= 1.0 and 0.0 <= precision <= 1.0):
+            if not (_score_ok(recall) and _score_ok(precision)):
                 raise ValueError(f"point {i} {(recall, precision)!r}: recall and precision must lie in [0, 1]")
             if recall < before:
                 raise ValueError(f"point {i} {(recall, precision)!r}: recall falls below the {before!r} before it")
@@ -349,7 +349,7 @@ def _check_inputs(detections: DetectionResultSet, ground_truths: GroundTruthSet,
     Returns the detections' columns.
     """
     for threshold in thresholds:
-        _check_threshold(threshold)
+        _check_unit("iou_threshold", threshold)
     columns = detections._column_view()
     if not ground_truths._registers(columns.image_ids, columns.class_ids):
         for image_id, class_id in zip(columns.image_ids, columns.class_ids):  # name the first bad detection
@@ -369,10 +369,11 @@ class _Evaluation:
     IOU is computed in one call, and each pair reaching the lowest threshold
     enters one pair table, ranked once by sweep order, then descending IOU,
     then lower truth: pair_det, pair_truth and pair_iou.  A detection without
-    a pair still ranks as a false positive.  matched[t][d] is the position of
-    the truth detection d takes at threshold t, or -1.  Each truth's size band
-    is decided once.  Every view is detection indices in key order, a key per
-    detection and a truth count per key.
+    a pair still ranks as a false positive.  Each distinct threshold t is
+    matched once: matched[t][d] is the position of the truth detection d
+    takes at t, or -1.  Each truth's size band is decided once.  Every view
+    is detection indices in key order, a key per detection and a truth count
+    per key.
     """
 
     def __init__(self, detections: DetectionResultSet, ground_truths: GroundTruthSet, thresholds: Sequence[float]) -> None:
@@ -401,7 +402,7 @@ class _Evaluation:
         reach = np.flatnonzero(ious >= min(thresholds))
         ranked = reach[_ranked(sweep[reach], truth[reach], ious[reach])]
         self.pair_det, self.pair_truth, self.pair_iou = self.order[sweep[ranked]], truth[ranked], ious[ranked]
-        self.matched = {t: self._match(self.pair_iou >= t) for t in thresholds}
+        self.matched = {t: self._match(self.pair_iou >= t) for t in dict.fromkeys(thresholds)}
 
     def _match(self, pairs: np.ndarray) -> np.ndarray:
         """Each detection's matched truth position, or -1, by the greedy scan over the pairs where pairs is True."""
@@ -681,8 +682,7 @@ def evaluate(
     changes nothing.
     """
     _positive_count("shards", shards)
-    extra = () if iou_threshold in COCO_IOU_THRESHOLDS else (iou_threshold,)
-    evaluation = _Evaluation(detections, ground_truths, COCO_IOU_THRESHOLDS + extra)
+    evaluation = _Evaluation(detections, ground_truths, COCO_IOU_THRESHOLDS + (iou_threshold,))
     per_class = evaluation.class_aps(0.5, "continuous")
     coco = evaluation.coco()
     return MetricReport(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _sum_in_order
+from .geometry import Box, _check_unit, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _score_ok, _sum_in_order
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -230,7 +230,7 @@ def encode(box: Box, cell: GridCell, prior: AnchorPrior) -> tuple[float, float, 
     """
     frac_x = box.center_x / cell.stride - cell.col
     frac_y = box.center_y / cell.stride - cell.row
-    if not (0.0 <= frac_x <= 1.0 and 0.0 <= frac_y <= 1.0):
+    if not (_score_ok(frac_x) and _score_ok(frac_y)):
         raise CellMismatchError(
             f"box center ({box.center_x}, {box.center_y}) lies outside cell "
             f"({cell.col}, {cell.row}) at stride {cell.stride}"
@@ -270,8 +270,7 @@ def bce_loss(p: float, y: int) -> float:
     """
     if y not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {y!r}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    _check_unit("probability", p)
     if y == 1:
         return -math.log(max(p, _PROB_EPS))
     return -math.log(max(1.0 - p, _PROB_EPS))
@@ -369,8 +368,7 @@ def assign_yolo_from_ious(
     ValueError unless num_ground_truths is the length of every row, and
     TypeError for an entry that is not a number.
     """
-    if not (0.0 <= ignore_threshold <= 1.0):
-        raise ValueError(f"ignore_threshold must lie in [0, 1], got {ignore_threshold!r}")
+    _check_unit("ignore_threshold", ignore_threshold)
     ious = _iou_rows(ious, num_ground_truths)
     # The matching rule with truths as rows: at threshold -inf a truth claims
     # its best free prior of IOU above -1.  A truth that claims nothing ends

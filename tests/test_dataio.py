@@ -143,6 +143,12 @@ class TestLoadDataset:
         assert (info.width, info.height) == (640, 480)
         assert type(info.width) is int
 
+    def test_int_size_past_2_to_the_53_loads_exactly(self, tmp_path):
+        # as a float, 2**53 + 1 would round to 2**53
+        doc = _minimal_doc(images=[{"id": 1, "width": 2**53 + 1, "height": 480}])
+        info = load_dataset(_write(tmp_path, "gt.json", doc)).images[1]
+        assert (info.width, info.height) == (2**53 + 1, 480)
+
     @pytest.mark.parametrize("width", [640.9, float("nan"), 10**400])
     def test_size_must_be_a_positive_whole_number(self, tmp_path, width):
         doc = _minimal_doc(images=[{"id": 1, "width": width, "height": 480}])

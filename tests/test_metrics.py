@@ -901,6 +901,26 @@ class TestEvaluate:
         assert len(want) == 10
         assert calls == [want]
 
+    def test_each_distinct_threshold_is_matched_once(self, monkeypatch):
+        dets, truths = _simple_pair()
+        calls = []
+        greedy = metrics._greedy
+
+        def counting(rows, cols, size):
+            calls.append(size)
+            return greedy(rows, cols, size)
+
+        monkeypatch.setattr(metrics, "_greedy", counting)
+        evaluation = metrics._Evaluation(dets, truths, (0.5, 0.5))
+        assert calls == [len(dets)]
+        assert list(evaluation.matched) == [0.5]
+
+    def test_a_threshold_equal_to_a_coco_one_is_checked_too(self):
+        # 0.5 + 0j equals the sweep's 0.5 but has no order; every other view rejects it too
+        dets, truths = _simple_pair()
+        with pytest.raises(TypeError, match=r"^'<=' not supported between instances of 'float' and 'complex'$"):
+            evaluate(dets, truths, 0.5 + 0j)
+
     def test_sharding_changes_nothing(self):
         _, dets_a, dets_b = pathology_fixture()
         truths = pathology_fixture()[0]
@@ -1051,6 +1071,13 @@ class TestTruthOrder:
         first, second = ([ImageInfo(i, 10, 10) for i in ids] for ids in ([9, 2], [2, 9]))
         assert GroundTruthSet(first, [1], [a, b, c]) == GroundTruthSet(second, [1], [b, a, c])
         assert GroundTruthSet(first, [1], [a, b, c]) != GroundTruthSet(second, [1], [c, b, a])
+
+    @pytest.mark.parametrize("pick", [0, 1], ids=["detections", "truths"])
+    def test_a_set_is_unequal_to_anything_but_a_set(self, pick):
+        made = _simple_pair()[pick]
+        for other in (None, 1, made.detections if pick == 0 else made._truths):  # the last holds the set's contents
+            assert not made == other
+            assert made != other
 
     def test_the_views_never_gather_truths_per_image(self, monkeypatch):
         truths = _truths([(1, 1, (0, 0, 10, 10)), (2, 2, (5, 5, 25, 25)), (3, 1, (0, 0, 40, 40))])
