@@ -27,14 +27,31 @@ class NotDivisibleError(ValueError):
     """The prior count does not split evenly across the requested scales."""
 
 
-def _size_ok(width, height):
-    """The size rule, on two numbers or elementwise on two arrays: both sides positive and finite."""
+def _sides_ok(width, height):
+    """Both sides positive and finite, on two numbers or elementwise on two arrays."""
     return (0.0 < width) & (width < math.inf) & (0.0 < height) & (height < math.inf)
 
 
+def _size_ok(width, height):
+    """The size rule, on two numbers or elementwise on two arrays: sides positive and finite, area in (0, inf).
+
+    The area term is Box's: a size whose area leaves the float range can lie
+    at NaN IOU distance, as 1e200 x 1e200 does from itself.  Run it on arrays
+    under np.errstate(all="ignore").
+    """
+    area = width * height
+    return _sides_ok(width, height) & (0.0 < area) & (area < math.inf)
+
+
 def _require_size(width, height) -> None:
-    if not _size_ok(width, height):
+    if not _sides_ok(width, height):
         raise ValueError(f"sample size must be positive and finite, got {width!r} x {height!r}")
+    try:
+        if _size_ok(width, height):
+            return
+    except OverflowError:  # an int side beyond the float range, whose area no float holds
+        pass
+    raise ValueError(f"sample area must be positive and finite, got {width!r} x {height!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +79,8 @@ class DimensionSamples(Sequence[DimensionSample]):
         array = np.array(sizes, dtype=np.float64)
         if array.ndim != 2 or array.shape[1] != 2:
             raise ValueError(f"sizes must have shape (n, 2), got {array.shape}")
-        bad = np.flatnonzero(~_size_ok(array[:, 0], array[:, 1]))
+        with np.errstate(all="ignore"):
+            bad = np.flatnonzero(~_size_ok(array[:, 0], array[:, 1]))
         if bad.size:
             _require_size(*array[bad[0]].tolist())
         array.flags.writeable = False
@@ -98,53 +116,122 @@ class ClusteringResult:
     objective_history: tuple[float, ...]
 
 
+def _columns(dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, 2) sizes as contiguous width, height and area columns."""
+    width, height = np.ascontiguousarray(dims.T)
+    return width, height, width * height
+
+
+def _distance_row(
+    columns, width: float, height: float, mode: str, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """One centroid's distance to every sample of _columns, written into out; scratch is a second buffer as long.
+
+    The float operations and their order are those of the pairwise formulas,
+    so each entry has the same bits.  A centroid's area can leave the float
+    range, and it reads as it would in Python floats, with no warning.
+    """
+    w, h, area = columns
+    with np.errstate(all="ignore"):
+        if mode == "euclidean":
+            np.subtract(w, width, out=out)
+            np.multiply(out, out, out=out)
+            np.subtract(h, height, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            np.add(out, scratch, out=out)
+            return np.sqrt(out, out=out)
+        # Overlap of two boxes that share a center is min(w)*min(h).
+        np.minimum(w, width, out=out)
+        np.minimum(h, height, out=scratch)
+        np.multiply(out, scratch, out=out)
+        np.add(area, width * height, out=scratch)
+        np.subtract(scratch, out, out=scratch)
+        np.divide(out, scratch, out=out)
+        return np.subtract(1.0, out, out=out)
+
+
 def _distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.ndarray:
-    """Pairwise distance matrix, shape (num_samples, num_centroids)."""
-    # Columns against rows: (n, 1) op (k,) broadcasts to (n, k).
-    w, h = dims[:, 0:1], dims[:, 1:2]
-    cw, ch = centroids[:, 0], centroids[:, 1]
-    if mode == "euclidean":
-        dw, dh = w - cw, h - ch
-        return np.sqrt(dw * dw + dh * dh)
-    # Overlap of two boxes that share a center is min(w)*min(h).  Each step
-    # writes into one of two (n, k) buffers rather than a fresh array.
-    inter = np.minimum(w, cw)
-    union = np.minimum(h, ch)
-    np.multiply(inter, union, out=inter)
-    np.add(w * h, cw * ch, out=union)
-    np.subtract(union, inter, out=union)
-    np.divide(inter, union, out=inter)
-    return np.subtract(1.0, inter, out=inter)
+    """Pairwise distance matrix, shape (num_samples, num_centroids): the transpose of one row per centroid."""
+    columns = _columns(dims)
+    rows = np.empty((len(centroids), len(dims)))
+    scratch = np.empty(len(dims))
+    for row, (width, height) in zip(rows, centroids.tolist()):
+        _distance_row(columns, width, height, mode, row, scratch)
+    return rows.T
 
 
-def _plusplus_init(dims: np.ndarray, k: int, rng: np.random.Generator, mode: str) -> np.ndarray:
-    """Seeded k-means++ initialization: spread starting centroids by squared distance."""
+def _nearest(columns, centroids: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's nearest centroid and its distance: argmin over _distances and the entries it picks, bit for bit.
+
+    A running minimum over one distance row per centroid, so no (n, k)
+    matrix is held.  A later centroid takes a sample only when strictly
+    nearer, so ties go to the first, as with argmin; no distance is -0.0, so
+    a tie's minimum has the first centroid's bits too.  argmin also takes a
+    sample's first NaN, which no comparison picks; np.minimum carries the NaN
+    into the minimum, and those samples are given argmin's answer after.
+    """
+    n = len(columns[0])
+    nearest, taken = np.zeros(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    best, row, scratch = np.empty(n), np.empty(n), np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    for c, (width, height) in enumerate(centroids.tolist()):
+        if c == 0:
+            _distance_row(columns, width, height, mode, best, scratch)
+            continue
+        _distance_row(columns, width, height, mode, row, scratch)
+        np.less(row, best, out=closer)
+        # Every index taken so far is below c, so the maximum sets c exactly where closer holds
+        # (a masked store reads the mask branch by branch and costs several times as much).
+        np.multiply(closer, c, out=taken)
+        np.maximum(nearest, taken, out=nearest)
+        np.minimum(row, best, out=best)
+    unset = np.flatnonzero(np.isnan(best))
+    if unset.size:
+        dist = _distances(np.column_stack((columns[0][unset], columns[1][unset])), centroids, mode)
+        nearest[unset] = dist.argmin(axis=1)
+        best[unset] = dist[np.arange(len(unset)), nearest[unset]]
+    return nearest, best
+
+
+def _plusplus_init(dims: np.ndarray, columns, k: int, rng: np.random.Generator, mode: str) -> np.ndarray:
+    """Seeded k-means++ initialization: spread starting centroids by squared distance.
+
+    columns are _columns(dims).  Every row goes into one of three buffers made
+    once: a fresh array per chosen centroid costs more in page faults than
+    its arithmetic.
+    """
     n = dims.shape[0]
+    d2, new_d2, scratch = np.empty(n), np.empty(n), np.empty(n)
     chosen = [int(rng.integers(n))]
-    d2 = _distances(dims, dims[chosen[-1]][None, :], mode)[:, 0] ** 2
+    np.square(_distance_row(columns, *dims[chosen[-1]].tolist(), mode, d2, scratch), out=d2)
     while len(chosen) < k:
         # Distinct sizes can still lie at distance 0.0, as 1 x 1 and 1 x 1.0000000000000002 do under IOU;
         # once every weight is 0, any size not chosen yet may come next (k <= the distinct count leaves one).
         weights = d2 if d2.any() else ~(dims[:, None] == dims[chosen]).all(axis=2).any(axis=1)
         chosen.append(int(rng.choice(n, p=weights / weights.sum())))
-        new_d2 = _distances(dims, dims[chosen[-1]][None, :], mode)[:, 0] ** 2
-        d2 = np.minimum(d2, new_d2)
+        np.square(_distance_row(columns, *dims[chosen[-1]].tolist(), mode, new_d2, scratch), out=new_d2)
+        np.minimum(d2, new_d2, out=d2)
     return dims[chosen].copy()
 
 
 def _update_centroids(
     dims: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, mode: str
 ) -> np.ndarray:
-    """Componentwise means per cluster; empty clusters re-seed from the farthest sample."""
+    """Componentwise means per cluster; empty clusters re-seed from the farthest sample.
+
+    np.bincount adds each cluster's members in sample order, the order in
+    which dims[assignments == c].mean(axis=0) adds them, and the sums are
+    divided by the member counts as .mean divides, so the means are the same
+    floats.
+    """
     k = centroids.shape[0]
+    counts = np.bincount(assignments, minlength=k)
+    filled = counts > 0
     new = centroids.copy()  # an empty cluster keeps its old row until re-seeded, so _distances reads no unset memory
-    empties = []
-    for c in range(k):
-        members = dims[assignments == c]
-        if len(members) == 0:
-            empties.append(c)
-        else:
-            new[c] = members.mean(axis=0)
+    for column in range(2):
+        sums = np.bincount(assignments, weights=dims[:, column], minlength=k)
+        new[filled, column] = sums[filled] / counts[filled]
+    empties = np.flatnonzero(~filled).tolist()
     if empties:
         dist = _distances(dims, new, mode)
         own = dist[np.arange(len(dims)), assignments]
@@ -199,17 +286,16 @@ def kmeans_anchors(
     if k > distinct:
         raise InsufficientSamplesError(f"{k} clusters requested but only {distinct} distinct samples given")
     rng = np.random.default_rng(seed)
-    centroids = _plusplus_init(dims, k, rng, distance)
+    columns = _columns(dims)
+    centroids = _plusplus_init(dims, columns, k, rng, distance)
 
-    dist = _distances(dims, centroids, distance)
-    assignments = dist.argmin(axis=1)
-    history = [float(dist[np.arange(len(dims)), assignments].mean())]
+    assignments, nearest = _nearest(columns, centroids, distance)
+    history = [float(nearest.mean())]
 
     for _ in range(max_iters):
         new_centroids = _update_centroids(dims, assignments, centroids, distance)
-        new_dist = _distances(dims, new_centroids, distance)
-        new_assignments = new_dist.argmin(axis=1)
-        new_objective = float(new_dist[np.arange(len(dims)), new_assignments].mean())
+        new_assignments, new_nearest = _nearest(columns, new_centroids, distance)
+        new_objective = float(new_nearest.mean())
         if new_objective > history[-1]:
             break
         moved = not np.array_equal(new_assignments, assignments)

@@ -362,13 +362,17 @@ def load_dimension_samples(path: str | Path) -> DimensionSamples:
     Malformed lines and sizes that are not positive and finite raise
     ParseError naming the line number.
     """
-    lines = _read_text(path).splitlines()
+    text = _read_text(path)
+    lines = text.splitlines()
     # The line walk below is the definition of the format.  numpy's C reader
     # takes the common case in one call; whatever it refuses, and any row
     # that breaks the size rule, goes through the walk, which returns the
-    # same array or raises the ParseError naming the line.  (The `in` test
-    # comes first because it costs a third of lstrip.)
-    data = [line for line in lines if "#" not in line or not line.lstrip().startswith("#")]
+    # same array or raises the ParseError naming the line.  Text without a
+    # '#' holds no comment line to drop.  (The `in` test comes first because
+    # it costs a third of lstrip.)
+    data = lines
+    if "#" in text:
+        data = [line for line in lines if "#" not in line or not line.lstrip().startswith("#")]
     if any(map(str.strip, data)):  # loadtxt warns on input without a row
         try:
             sizes = np.loadtxt(data, comments=None, ndmin=2)

@@ -15,7 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, _check_unit, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _score_ok, _sum_in_order
+from .geometry import (
+    Box, _check_unit, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _score_ok, _store_floats,
+    _sum_in_order,
+)
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
 # the inverse sigmoid so that encoding a center sitting exactly on a cell
@@ -89,9 +92,12 @@ class GridCell:
     stride: float = 1.0
 
     def __post_init__(self) -> None:
+        plain = type(self.col) is type(self.row) is int and type(self.stride) is float
+        if not plain:
+            _store_floats(self, ("col", "row", "stride"))
         if self.col < 0 or self.row < 0:
             raise ValueError(f"cell indices must be non-negative, got ({self.col}, {self.row})")
-        if not (_is_whole(self.col) and _is_whole(self.row)):
+        if not (plain or _is_whole(self.col) and _is_whole(self.row)):  # an int index is whole
             raise ValueError(f"cell indices must be whole numbers, got ({self.col}, {self.row})")
         if not (self.stride > 0.0):
             raise ValueError(f"stride must be positive, got {self.stride!r}")
@@ -107,6 +113,8 @@ class AnchorPrior:
     height: float
 
     def __post_init__(self) -> None:
+        if not (type(self.width) is type(self.height) is float):
+            _store_floats(self, ("width", "height"))
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(f"prior size must be positive, got {self.width!r} x {self.height!r}")
         if not (self.width < math.inf and self.height < math.inf):

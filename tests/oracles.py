@@ -13,6 +13,10 @@ AP can be required to give the same floats bit for bit, and
 oracle_load_dimension_samples is the per-line box-size loader and
 oracle_distances the (n, k, 2) k-means distance formulas, so that the array
 versions can be required to give the same arrays and messages bit for bit.
+oracle_nearest is argmin over that matrix with the entries it picks, and
+oracle_update_centroids the per-cluster mask-and-mean loop, so that the
+k-means step's running minimum and in-order sums can be required to give
+the same assignments, distances and centroids bit for bit.
 oracle_assign_yolo_from_ious and oracle_assign_dual_threshold_from_ious are
 the hand-written claim loop and first-maximum scan of the two prior
 assignment rules, so that the library's versions can be required to give
@@ -229,6 +233,37 @@ def oracle_distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.n
     inter = np.minimum(dims[:, None, :], centroids[None, :, :]).prod(axis=-1)
     union = dims.prod(axis=-1)[:, None] + centroids.prod(axis=-1)[None, :] - inter
     return 1.0 - inter / union
+
+
+def oracle_nearest(dims: np.ndarray, centroids: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's nearest centroid, argmin over the (n, k) distances (the first minimum, or the first NaN),
+    and its distance."""
+    dist = oracle_distances(dims, centroids, mode)
+    nearest = dist.argmin(axis=1)
+    return nearest, dist[np.arange(len(dims)), nearest]
+
+
+def oracle_update_centroids(
+    dims: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, mode: str
+) -> np.ndarray:
+    """Each cluster's members by a boolean mask and their .mean(axis=0); an empty cluster re-seeds
+    from the sample farthest from its own centroid, each sample seeding at most one."""
+    k = centroids.shape[0]
+    new = centroids.copy()
+    empties = []
+    for c in range(k):
+        members = dims[assignments == c]
+        if len(members) == 0:
+            empties.append(c)
+        else:
+            new[c] = members.mean(axis=0)
+    if empties:
+        own = oracle_distances(dims, new, mode)[np.arange(len(dims)), assignments]
+        for c in empties:
+            farthest = int(np.argmax(own))
+            new[c] = dims[farthest]
+            own[farthest] = -1.0
+    return new
 
 
 def oracle_assign_yolo_from_ious(

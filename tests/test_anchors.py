@@ -22,7 +22,7 @@ from detkit import (
     kmeans_anchors,
     split_scales,
 )
-from oracles import oracle_distances
+from oracles import oracle_distances, oracle_nearest, oracle_update_centroids
 
 sample_dims = st.builds(
     DimensionSample,
@@ -52,6 +52,23 @@ class TestDimensionSample:
     def test_rejects_non_finite(self, width, height):
         with pytest.raises(ValueError, match="finite"):
             DimensionSample(width=width, height=height)
+
+    @pytest.mark.parametrize("width,height", [
+        (1e200, 1e200), (2e200, 1e200), (1e-200, 1e-200), (1e300, 1e10), (5e-324, 0.5), (10**400, 1.0),
+    ], ids=["1e200", "2e200", "1e-200", "1e300-1e10", "5e-324-0.5", "int-10**400"])
+    def test_area_must_be_positive_and_finite(self, width, height):
+        # Box's area term: a size whose area leaves the float range can lie at NaN IOU distance
+        with pytest.raises(ValueError) as one:
+            DimensionSample(width, height)
+        assert str(one.value) == f"sample area must be positive and finite, got {width!r} x {height!r}"
+        if isinstance(width, float):
+            with pytest.raises(ValueError) as many:  # checked on the whole array, with no overflow warning
+                DimensionSamples([[1.0, 2.0], [width, height], [0.0, 0.0]])
+            assert str(many.value) == str(one.value)
+
+    def test_sizes_whose_area_stays_in_range_are_kept(self):
+        samples = DimensionSamples([[1e300, 1e-300], [1e-3, 1e6], [1e154, 1e154]])
+        assert samples.sizes.tolist() == [[1e300, 1e-300], [1e-3, 1e6], [1e154, 1e154]]
 
 
 def _benchmark_like_sizes(seed, n):
@@ -142,8 +159,120 @@ class TestDistancesMatchPairwiseFormulas:
                 for k in (1, 2, 5, 9) for seed in range(3)]
         assert got == want
 
+    @pytest.mark.parametrize("mode", ["iou", "euclidean"])
+    def test_same_clustering_as_oracle_steps(self, mode, monkeypatch):
+        # Every step through its oracle: the distance formulas (so k-means++ and the empty-cluster
+        # repair read them too), argmin assignment and the mask-and-mean update.
+        dims = _benchmark_like_sizes(22, 3000)
+
+        def fits():
+            return [kmeans_anchors(DimensionSamples(dims), k, max_iters=8, seed=seed, distance=mode)
+                    for k in (1, 2, 5, 9) for seed in range(3)]
+
+        def oracle_row(columns, width, height, mode, out, scratch):
+            out[:] = oracle_distances(np.column_stack(columns[:2]), np.array([[width, height]]), mode)[:, 0]
+            return out
+
+        got = fits()
+        monkeypatch.setattr(anchors, "_distance_row", oracle_row)
+        monkeypatch.setattr(anchors, "_nearest", lambda columns, centroids, mode: oracle_nearest(
+            np.column_stack(columns[:2]), centroids, mode))
+        monkeypatch.setattr(anchors, "_update_centroids", oracle_update_centroids)
+        assert got == fits()
+
+
+_spread_sizes = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@st.composite
+def _lloyd_steps(draw):
+    """Sizes spread over 1e-3...1e6, centroids partly copied from the samples and from each other
+    (exact ties), and assignments that leave some clusters empty."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 8))
+    dims = np.array(draw(st.lists(st.tuples(_spread_sizes, _spread_sizes), min_size=n, max_size=n)))
+    centroids = []
+    for _ in range(k):
+        source = draw(st.sampled_from(["free", "sample", "earlier"] if centroids else ["free", "sample"]))
+        if source == "free":
+            centroids.append(draw(st.tuples(_spread_sizes, _spread_sizes)))
+        elif source == "sample":
+            centroids.append(tuple(dims[draw(st.integers(0, n - 1))]))
+        else:
+            centroids.append(draw(st.sampled_from(centroids)))
+    assignments = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.intp)
+    return dims, np.array(centroids, dtype=np.float64), assignments
+
+
+class TestLloydStepsMatchOracles:
+    """The running-minimum assignment and the bincount update are the argmin and mask-and-mean steps, bit for bit."""
+
+    @given(_lloyd_steps(), st.sampled_from(["iou", "euclidean"]), st.sampled_from([None, "sample", "centroid"]))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_is_argmin_and_its_entries(self, step, mode, nan_in):
+        dims, centroids, _ = step
+        if nan_in == "sample":  # every distance of that sample is NaN: argmin takes centroid 0
+            dims[len(dims) // 2, 0] = math.nan
+        elif nan_in == "centroid":  # a NaN column, every sample's first NaN: argmin gives it every sample
+            centroids[len(centroids) // 2, 1] = math.nan
+        got_nearest, got_best = anchors._nearest(anchors._columns(dims), centroids, mode)
+        want_nearest, want_best = oracle_nearest(dims, centroids, mode)
+        assert got_nearest.tolist() == want_nearest.tolist()
+        assert got_best.tobytes() == want_best.tobytes()
+
+    @given(_lloyd_steps(), st.sampled_from(["iou", "euclidean"]))
+    @settings(max_examples=300, deadline=None)
+    def test_update_is_mask_and_mean(self, step, mode):
+        dims, centroids, assignments = step
+        got = anchors._update_centroids(dims, assignments, centroids, mode)
+        want = oracle_update_centroids(dims, assignments, centroids, mode)
+        assert got.tobytes() == want.tobytes()
+
+    def test_ties_and_nan_go_to_the_first_centroid(self):
+        dims = np.array([[2.0, 3.0], [5.0, 5.0], [math.nan, 1.0]])
+        centroids = np.array([[4.0, 4.0], [2.0, 3.0], [2.0, 3.0], [4.0, 4.0], [math.nan, 2.0], [math.nan, 2.0]])
+        for mode in ("iou", "euclidean"):
+            nearest, best = anchors._nearest(anchors._columns(dims), centroids, mode)
+            # samples 0 and 1 meet centroid 4's NaN first; sample 2, NaN itself, meets one at centroid 0
+            assert nearest.tolist() == [4, 4, 0]
+            assert np.isnan(best).all()
+            # without the NaNs, sample 0 ties centroids 1 and 2 at 0.0, and sample 1 ties centroids 0 and 3
+            nearest, best = anchors._nearest(anchors._columns(dims[:2]), centroids[:4], mode)
+            assert nearest.tolist() == [1, 0] and best[0] == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_means_are_in_order_sums_over_counts(self, seed):
+        # Each mean is its members added left to right, then divided by their count: the order
+        # dims[assignments == c].mean(axis=0) adds them in, stated without numpy.
+        rng = np.random.default_rng(seed)
+        dims = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), (5000, 2)))
+        k = 7
+        assignments = rng.integers(0, k, len(dims))
+        new = anchors._update_centroids(dims, assignments, np.ones((k, 2)), "iou")
+        order_shows = False
+        for c in range(k):
+            members = dims[assignments == c].tolist()
+            for column in range(2):
+                total = 0.0
+                for row in members:
+                    total += row[column]
+                assert new[c, column] == total / len(members)
+                order_shows |= total != math.fsum(row[column] for row in members)
+        assert order_shows  # the data tells summation orders apart
+
 
 class TestKmeansAnchors:
+    def test_centroid_area_past_the_float_range_clusters_without_warning(self):
+        # Both areas are 1e10, but the mean size is 5e299 x 5e299, whose area overflows: the distance rows
+        # read it as Python floats do, and numpy warns of nothing (pytest makes its warnings errors).
+        samples = DimensionSamples([[1e300, 1e-290], [1e-290, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iou_fit = kmeans_anchors(samples, 1)
+            kmeans_anchors(samples, 1, distance="euclidean")
+        # the mean lies at distance 1 from both samples, worse than a sample's 0.5, so it is rolled back
+        assert iou_fit.objective_history == (0.5,)
+
     def test_list_and_array_backed_samples_cluster_alike(self):
         dims = _benchmark_like_sizes(4, 400)
         as_list = [DimensionSample(w, h) for w, h in dims.tolist()]

@@ -270,6 +270,16 @@ class TestAnchors:
         assert result.stdout == ""
         assert result.stderr == f"detkit: {k} clusters requested but only {distinct} distinct samples given\n"
 
+    @pytest.mark.parametrize("lines", ["1e200 1e200\n2e200 1e200\n", "1e-200 1e-200\n2e-200 1e-200\n"])
+    def test_size_whose_area_leaves_the_float_range_is_named(self, tmp_path, lines):
+        # these once reached k-means: overflow warnings then "Probabilities contain NaN", or NaN distances
+        bad = tmp_path / "s.txt"
+        bad.write_text(lines, encoding="utf-8")
+        code, out, err = run_cli(["anchors", "--boxes", str(bad), "--k", "2", "--scales", "1"])
+        width, height = (float(v) for v in lines.split()[:2])
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert err == f"detkit: {bad}: line 1: sample area must be positive and finite, got {width!r} x {height!r}\n"
+
     @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
     def test_non_finite_size_is_data_error(self, tmp_path, line):
         bad = tmp_path / "dims.txt"

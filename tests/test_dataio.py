@@ -376,6 +376,16 @@ class TestDimensionSamples:
         with pytest.raises(ParseError, match="positive"):
             load_dimension_samples(path)
 
+    @pytest.mark.parametrize("line", ["1e200 1e200", "1e-200 1e-200", "1e300 1e300"])
+    def test_area_outside_the_float_range_is_numbered(self, tmp_path, line):
+        path = tmp_path / "dims.txt"
+        path.write_text(f"10 13\n{line}\n", encoding="utf-8")
+        width, height = (float(v) for v in line.split())
+        message = f"{path}: line 2: sample area must be positive and finite, got {width!r} x {height!r}"
+        with pytest.raises(ParseError) as err:
+            load_dimension_samples(path)
+        assert str(err.value) == message
+
     def test_returns_an_array_backed_set(self, tmp_path):
         path = tmp_path / "dims.txt"
         path.write_text("10 13\n16 30\n", encoding="utf-8")

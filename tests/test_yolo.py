@@ -624,6 +624,36 @@ class TestPriorLoss:
         assert compensated == plain
 
 
+class TestNumericStorage:
+    """Cell and prior fields that are numbers of another type are stored as float, as Box's are; ints and floats as given."""
+
+    def test_float32_stride_decodes_in_float64(self):
+        pred = RawPrediction(0.3, -0.2, 0.1, 0.2)
+        box = decode(pred, GridCell(3, 4, np.float32(32)), AnchorPrior(116.0, 90.0))
+        assert box.center_x == 114.38216053797309  # 114.38216400146484 when the center is computed in float32
+        assert box == decode(pred, GridCell(3, 4, 32.0), AnchorPrior(116.0, 90.0))
+
+    def test_float32_prior_decodes_in_float64(self):
+        box = decode(RawPrediction(0.0, 0.0, 0.1, 0.0), GridCell(0, 0), AnchorPrior(np.float32(116), np.float32(90)))
+        assert box.width == 128.19982649677513  # 128.1998291015625 in float32
+
+    def test_center_past_a_float32_stride_is_a_cell_mismatch(self):
+        # in float32, 1e308 / 8 overflowed with a RuntimeWarning instead
+        message = r"^box center \(1e\+308, 5\) lies outside cell \(0, 0\) at stride 8\.0$"
+        with pytest.raises(CellMismatchError, match=message):
+            encode(Box(1e308, 5, 2, 2), GridCell(0, 0, np.float32(8)), AnchorPrior(4, 4))
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, np.int64], ids=["np.float32", "np.float64", "np.int64"])
+    def test_numpy_fields_become_floats(self, kind):
+        cell, prior = GridCell(kind(3), kind(4), kind(8)), AnchorPrior(kind(10), kind(13))
+        fields = (cell.col, cell.row, cell.stride, prior.width, prior.height)
+        assert [(type(v), v) for v in fields] == [(float, 3.0), (float, 4.0), (float, 8.0), (float, 10.0), (float, 13.0)]
+
+    def test_python_ints_and_floats_stay_as_given(self):
+        cell, prior = GridCell(3, 4, 8), AnchorPrior(10, 13.5)
+        assert [type(v) for v in (cell.col, cell.row, cell.stride, prior.width, prior.height)] == [int, int, int, int, float]
+
+
 class TestValueRules:
     @pytest.mark.parametrize("col, row", [(1.5, 0), (0, 2.5), (math.inf, 0), (0, math.nan)])
     def test_cell_indices_must_be_whole(self, col, row):
