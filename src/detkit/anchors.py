@@ -47,9 +47,9 @@ def _require_size(width, height) -> None:
     if not _sides_ok(width, height):
         raise ValueError(f"sample size must be positive and finite, got {width!r} x {height!r}")
     try:
-        if _size_ok(width, height):
+        if _size_ok(float(width), float(height)):  # the sides as k-means holds them
             return
-    except OverflowError:  # an int side beyond the float range, whose area no float holds
+    except OverflowError:  # an int side beyond the float range, which no float holds
         pass
     raise ValueError(f"sample area must be positive and finite, got {width!r} x {height!r}")
 
@@ -198,19 +198,32 @@ def _plusplus_init(dims: np.ndarray, columns, k: int, rng: np.random.Generator, 
 
     columns are _columns(dims).  Every row goes into one of three buffers made
     once: a fresh array per chosen centroid costs more in page faults than
-    its arithmetic.
+    its arithmetic.  The running minimum is kept over the distances and
+    squared per draw, into the scratch buffer: squaring keeps the order of
+    non-negative floats, so the weights are the minimum of the squares bit
+    for bit.
     """
     n = dims.shape[0]
-    d2, new_d2, scratch = np.empty(n), np.empty(n), np.empty(n)
+    d, new_d, scratch = np.empty(n), np.empty(n), np.empty(n)
     chosen = [int(rng.integers(n))]
-    np.square(_distance_row(columns, *dims[chosen[-1]].tolist(), mode, d2, scratch), out=d2)
+    _distance_row(columns, *dims[chosen[-1]].tolist(), mode, d, scratch)
     while len(chosen) < k:
-        # Distinct sizes can still lie at distance 0.0, as 1 x 1 and 1 x 1.0000000000000002 do under IOU;
-        # once every weight is 0, any size not chosen yet may come next (k <= the distinct count leaves one).
-        weights = d2 if d2.any() else ~(dims[:, None] == dims[chosen]).all(axis=2).any(axis=1)
-        chosen.append(int(rng.choice(n, p=weights / weights.sum())))
-        np.square(_distance_row(columns, *dims[chosen[-1]].tolist(), mode, new_d2, scratch), out=new_d2)
-        np.minimum(d2, new_d2, out=d2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.square(d, out=scratch)
+            total = weights.sum()
+            if not total < math.inf:
+                # Squares past the float range: draw by (d / d.max())**2, the same weights scaled down.  Where
+                # a distance is itself infinite (inf / inf is NaN), the infinite distances share the draw equally.
+                weights = np.square(np.where(d == math.inf, 1.0, d / d.max()))
+                total = weights.sum()
+        if not total:
+            # Distinct sizes can still lie at distance 0.0, as 1 x 1 and 1 x 1.0000000000000002 do under IOU;
+            # once every weight is 0, any size not chosen yet may come next (k <= the distinct count leaves one).
+            weights = ~(dims[:, None] == dims[chosen]).all(axis=2).any(axis=1)
+            total = weights.sum()
+        chosen.append(int(rng.choice(n, p=weights / total)))
+        _distance_row(columns, *dims[chosen[-1]].tolist(), mode, new_d, scratch)
+        np.minimum(d, new_d, out=d)
     return dims[chosen].copy()
 
 

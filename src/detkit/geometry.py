@@ -7,11 +7,11 @@ coordinates are image pixels.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +59,18 @@ def _store_floats(obj: object, names: Sequence[str]) -> None:
             object.__setattr__(obj, name, float(value))
 
 
+def _slot_setters(cls: type) -> tuple:
+    """The slot setter of each field of a slotted dataclass, in field order.
+
+    A value type built once per element (a box, a prior, a detection) is a
+    frozen slotted dataclass that writes its own __init__ through these.  A
+    setter call stores past the frozen __setattr__ at a fraction of the cost
+    of the generated __init__'s object.__setattr__; slots keep each instance
+    free of a dict, which storing through __dict__ would make.
+    """
+    return tuple(cls.__dict__[field.name].__set__ for field in dataclasses.fields(cls))
+
+
 def _box_ok(center_x, center_y, width, height):
     """The Box rule, on four numbers or elementwise on four arrays: sizes positive, far corners finite, area in (0, inf).
 
@@ -93,7 +105,7 @@ def _center_form(left, top, width, height):
     return left + width / 2.0, top + height / 2.0, width, height
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False, slots=True)
 class Box:
     """Axis-aligned rectangle in center form, obeying _box_ok: finite fields and corners, positive finite area.
 
@@ -105,7 +117,11 @@ class Box:
     width: float
     height: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, center_x: float, center_y: float, width: float, height: float) -> None:
+        _set_center_x(self, center_x)
+        _set_center_y(self, center_y)
+        _set_width(self, width)
+        _set_height(self, height)
         if not (type(self.center_x) is type(self.center_y) is type(self.width) is type(self.height) is float):
             _store_floats(self, ("center_x", "center_y", "width", "height"))
         try:
@@ -154,7 +170,10 @@ class Box:
         return cls(*_center_form(left, top, width, height))
 
 
-@dataclass(frozen=True)
+_set_center_x, _set_center_y, _set_width, _set_height = _slot_setters(Box)
+
+
+@dataclasses.dataclass(frozen=True, init=False, slots=True)
 class ScoredBox:
     """A class-labelled detection: a score in [0, 1] and a non-negative whole class id, stored as int.
 
@@ -165,16 +184,22 @@ class ScoredBox:
     score: float
     class_id: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, box: Box, score: float, class_id: int) -> None:
+        _set_box(self, box)
+        _set_score(self, score)
+        _set_class_id(self, class_id)
         if type(self.score) not in _PLAIN_NUMBERS:
             _store_floats(self, ("score",))
         _check_unit("score", self.score)
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id!r}")
-        if not _is_whole(self.class_id):
-            raise ValueError(f"class_id must be a whole number, got {self.class_id!r}")
-        if type(self.class_id) is not int:  # 2.0 becomes 2, as a results file must hold it
-            object.__setattr__(self, "class_id", int(self.class_id))
+        if type(self.class_id) is not int:  # an int id is whole; 2.0 becomes 2, as a results file must hold it
+            if not _is_whole(self.class_id):
+                raise ValueError(f"class_id must be a whole number, got {self.class_id!r}")
+            _set_class_id(self, int(self.class_id))
+
+
+_set_box, _set_score, _set_class_id = _slot_setters(ScoredBox)
 
 
 def iou(a: Box, b: Box) -> float:

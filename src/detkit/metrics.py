@@ -32,7 +32,7 @@ import numpy as np
 # iou is bound here though unused: perfbench/tracing.py counts calls through metrics.iou
 from .geometry import (  # noqa: F401
     Box, ScoredBox, _box_fields, _check_unit, _codes, _corner_rows, _greedy, _greedy_matrix, _iou_matrix, _is_whole,
-    _overlaps, _positive_count, _ranked, _score_ok, _sum_in_order, _visit_order, iou,
+    _overlaps, _positive_count, _ranked, _score_ok, _slot_setters, _sum_in_order, _visit_order, iou,
 )
 
 SMALL_AREA_MAX = 32.0 * 32.0
@@ -165,13 +165,18 @@ class GroundTruthSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Detection:
     """One detection plus its position in its own set's input order (filter renumbers)."""
 
     image_id: int
     scored: ScoredBox
     index: int
+
+    def __init__(self, image_id: int, scored: ScoredBox, index: int) -> None:
+        _set_image_id(self, image_id)
+        _set_scored(self, scored)
+        _set_index(self, index)
 
     @property
     def score(self) -> float:
@@ -184,6 +189,9 @@ class Detection:
     @property
     def box(self) -> Box:
         return self.scored.box
+
+
+_set_image_id, _set_scored, _set_index = _slot_setters(Detection)
 
 
 class _Columns(NamedTuple):

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Box, _check_unit, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _score_ok, _store_floats,
-    _sum_in_order,
+    Box, _check_unit, _greedy_matrix, _iou_matrix, _is_whole, _non_negative_count, _score_ok, _slot_setters,
+    _store_floats, _sum_in_order,
 )
 
 # Fractional cell offsets are clamped into [_OFFSET_EPS, 1 - _OFFSET_EPS] before
@@ -61,7 +61,7 @@ def inverse_sigmoid(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RawPrediction:
     """Pre-activation outputs for one prior at one cell.
 
@@ -78,12 +78,25 @@ class RawPrediction:
     objectness: float = 0.0
     class_logits: tuple[float, ...] = ()
 
+    def __init__(
+        self, x: float, y: float, w: float, h: float, objectness: float = 0.0, class_logits: tuple[float, ...] = ()
+    ) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_w(self, w)
+        _set_h(self, h)
+        _set_objectness(self, objectness)
+        _set_class_logits(self, class_logits)
+
+
+_set_x, _set_y, _set_w, _set_h, _set_objectness, _set_class_logits = _slot_setters(RawPrediction)
+
 
 # The zero offsets every prior box decodes; frozen, so one instance serves every call.
 _NO_OFFSET = RawPrediction(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GridCell:
     """A cell of the prediction grid: whole, non-negative indices; stride is the cell edge in image pixels."""
 
@@ -91,7 +104,10 @@ class GridCell:
     row: int
     stride: float = 1.0
 
-    def __post_init__(self) -> None:
+    def __init__(self, col: int, row: int, stride: float = 1.0) -> None:
+        _set_col(self, col)
+        _set_row(self, row)
+        _set_stride(self, stride)
         plain = type(self.col) is type(self.row) is int and type(self.stride) is float
         if not plain:
             _store_floats(self, ("col", "row", "stride"))
@@ -103,6 +119,9 @@ class GridCell:
             raise ValueError(f"stride must be positive, got {self.stride!r}")
         if not (self.stride < math.inf):
             raise ValueError(f"stride must be finite, got {self.stride!r}")
+
+
+_set_col, _set_row, _set_stride = _slot_setters(GridCell)
 
 
 @dataclass(frozen=True)

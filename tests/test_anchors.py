@@ -66,6 +66,21 @@ class TestDimensionSample:
                 DimensionSamples([[1.0, 2.0], [width, height], [0.0, 0.0]])
             assert str(many.value) == str(one.value)
 
+    @pytest.mark.parametrize("width,height", [(10**400, 1), (1, 10**400), (10**200, 10**200)])
+    def test_int_sides_are_ruled_as_floats(self, width, height):
+        # An int side beyond the float range once passed and raised a bare OverflowError inside k-means;
+        # two int sides whose area no float holds passed too.
+        with pytest.raises(ValueError) as bad:
+            DimensionSample(width, height)
+        assert str(bad.value) == f"sample area must be positive and finite, got {width!r} x {height!r}"
+
+    def test_int_sides_are_stored_as_given(self):
+        sample = DimensionSample(3, 4)
+        assert (type(sample.width), type(sample.height)) == (int, int)
+        fit = kmeans_anchors([sample, DimensionSample(1.0, 1.0)], 2)
+        assert fit == kmeans_anchors([DimensionSample(3.0, 4.0), DimensionSample(1.0, 1.0)], 2)
+        assert set(fit.centroids) == {AnchorPrior(3.0, 4.0), AnchorPrior(1.0, 1.0)}
+
     def test_sizes_whose_area_stays_in_range_are_kept(self):
         samples = DimensionSamples([[1e300, 1e-300], [1e-3, 1e6], [1e154, 1e154]])
         assert samples.sizes.tolist() == [[1e300, 1e-300], [1e-3, 1e6], [1e154, 1e154]]
@@ -304,6 +319,40 @@ class TestKmeansAnchors:
         result = kmeans_anchors(samples, k=2, seed=seed)
         assert len(result.centroids) == 2
         assert all(later <= earlier for earlier, later in zip(result.objective_history, result.objective_history[1:]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_euclidean_seeding_past_the_float_range(self, seed):
+        # The seeding weights were once inf / inf, NaN probabilities.  1e200 x 1e-200 lies an infinite
+        # euclidean distance from 1 x 1 and 2 x 2, so it is always picked; from 1 x 1, 1e154 x 1 and
+        # 1.1e154 x 1 lie finite distances whose squares add up past the float range.
+        for rows in ([[1e200, 1e-200], [1.0, 1.0], [2.0, 2.0]], [[1e154, 1.0], [1.0, 1.0], [1.1e154, 1.0]]):
+            dims = np.array(rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                picks = anchors._plusplus_init(dims, anchors._columns(dims), 2, np.random.default_rng(seed), "euclidean")
+                fit = kmeans_anchors(DimensionSamples(dims), 2, seed=seed, distance="euclidean")
+            assert len({tuple(p) for p in picks.tolist()}) == 2 and len(set(fit.centroids)) == 2
+        assert AnchorPrior(1e200, 1e-200) in kmeans_anchors(
+            [DimensionSample(1e200, 1e-200), DimensionSample(1.0, 1.0), DimensionSample(2.0, 2.0)], 2, seed=seed,
+            distance="euclidean",
+        ).centroids
+
+    # Rows of _benchmark_like_sizes(seed, 2000) that k-means++ picked for k = 9, by (distance, seed),
+    # before the running minimum was kept over unsquared distances.
+    _SEEDED_PICKS = {
+        ("iou", 0): [1701, 541, 86, 40, 1623, 1827, 1230, 1463, 1110],
+        ("iou", 1): [946, 1898, 286, 1891, 652, 866, 1657, 854, 1144],
+        ("iou", 2): [1675, 612, 1629, 190, 1192, 1434, 383, 103, 570],
+        ("euclidean", 0): [1701, 526, 120, 47, 1650, 1806, 1247, 1494, 1095],
+        ("euclidean", 1): [946, 1891, 352, 1863, 860, 1020, 1704, 1084, 1408],
+        ("euclidean", 2): [1675, 534, 1525, 190, 1101, 1405, 429, 105, 589],
+    }
+
+    @pytest.mark.parametrize("mode,seed", list(_SEEDED_PICKS))
+    def test_seeded_picks_are_unchanged(self, mode, seed):
+        dims = _benchmark_like_sizes(seed, 2000)
+        picks = anchors._plusplus_init(dims, anchors._columns(dims), 9, np.random.default_rng(seed), mode)
+        assert picks.tobytes() == dims[self._SEEDED_PICKS[mode, seed]].tobytes()
 
     def test_k_equals_distinct_samples(self):
         samples = [

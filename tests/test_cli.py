@@ -280,6 +280,19 @@ class TestAnchors:
         assert (code, out) == (EXIT_DATA_ERROR, "")
         assert err == f"detkit: {bad}: line 1: sample area must be positive and finite, got {width!r} x {height!r}\n"
 
+    def test_euclidean_sizes_whose_squares_leave_the_float_range_cluster(self, tmp_path):
+        # k-means++ once squared the distances here: inf weights, an invalid divide, "Probabilities contain NaN"
+        boxes = tmp_path / "spread.txt"
+        boxes.write_text("1e200 1e-200\n1 1\n2 2\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "detkit.cli", "anchors", "--boxes", str(boxes), "--k", "2", "--scales", "1",
+             "--distance", "euclidean"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert result.stdout == "1e+200 1e-200\n1.5 1.5\n"
+
     @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
     def test_non_finite_size_is_data_error(self, tmp_path, line):
         bad = tmp_path / "dims.txt"
@@ -520,13 +533,13 @@ class TestNmsOneKeyedPass:
         records = _random_records(0, image_ids, class_ids, per_image=12)
         gt, dets = _write_nms_files(tmp_path, image_ids, class_ids, records)
         built = []
-        post_init = ScoredBox.__post_init__
+        init = ScoredBox.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ScoredBox, "__post_init__", counting)
+        monkeypatch.setattr(ScoredBox, "__init__", counting)
         code, out, err = run_cli(["nms", "--gt", gt, "--dets", dets, "--iou", "0.45"])
         assert (code, err, built) == (EXIT_OK, "", [])
         monkeypatch.undo()

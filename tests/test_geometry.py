@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import random
 
 import numpy as np
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import assert_boxes_close, boxes, canvas_boxes, finite_floats, scored_boxes
-from detkit import Box, DetectionResultSet, ScoredBox, dump_results, geometry, iou, nms
+from detkit import Box, Detection, DetectionResultSet, GridCell, RawPrediction, ScoredBox, dump_results, geometry, iou, nms
 from detkit.geometry import _NMS_BLOCK
 from oracles import corner_iou, oracle_nms
 
@@ -149,6 +153,93 @@ class TestNumericStorage:
         # Such an int has no float: the Box rule cannot read it, and no box admits it.
         with pytest.raises(ValueError, match="finite"):
             Box(*fields)
+
+
+_BOX = Box(1.5, 2.0, 3.0, 4.0)
+_BOX_SHOWN = "Box(center_x=1.5, center_y=2.0, width=3.0, height=4.0)"
+_SCORED = ScoredBox(_BOX, 0.25, 7)
+_SCORED_SHOWN = f"ScoredBox(box={_BOX_SHOWN}, score=0.25, class_id=7)"
+# An instance of each frozen slotted type that writes its own __init__, and the repr the generated __repr__ gives it.
+_VALUE_TYPES = {
+    "Box": (_BOX, _BOX_SHOWN),
+    "ScoredBox": (_SCORED, _SCORED_SHOWN),
+    "Detection": (Detection(3, _SCORED, 5), f"Detection(image_id=3, scored={_SCORED_SHOWN}, index=5)"),
+    "GridCell": (GridCell(4, 9, 32.0), "GridCell(col=4, row=9, stride=32.0)"),
+    "RawPrediction": (
+        RawPrediction(0.5, -0.5, 0.25, -0.25, 1.0, (0.125, -2.0)),
+        "RawPrediction(x=0.5, y=-0.5, w=0.25, h=-0.25, objectness=1.0, class_logits=(0.125, -2.0))",
+    ),
+}
+
+
+@pytest.mark.parametrize("value,shown", list(_VALUE_TYPES.values()), ids=list(_VALUE_TYPES))
+class TestValueTypeContract:
+    """The types built once per element write their fields through their slots and keep the dataclass contract."""
+
+    def test_signature_is_the_fields(self, value, shown):
+        cls = type(value)
+        fields = dataclasses.fields(cls)
+        params = list(inspect.signature(cls).parameters.values())
+        empty = inspect.Parameter.empty
+        assert [(p.name, p.kind, p.annotation) for p in params] == [
+            (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, f.type) for f in fields
+        ]
+        assert [p.default for p in params] == [empty if f.default is dataclasses.MISSING else f.default for f in fields]
+        assert cls.__match_args__ == tuple(f.name for f in fields)
+        assert "__init__" in vars(cls) and not hasattr(cls, "__post_init__")
+        assert cls.__slots__ == cls.__match_args__ and not hasattr(value, "__dict__")
+
+    def test_fields_cannot_be_set_or_deleted(self, value, shown):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field.name)
+
+    def test_pickle_and_deepcopy_round_trip(self, value, shown):
+        copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in [*copies, copy.deepcopy(value), copy.copy(value)]:
+            assert again is not value and type(again) is type(value)
+            assert again == value and hash(again) == hash(value) and repr(again) == shown
+
+    def test_repr_and_replace(self, value, shown):
+        assert repr(value) == shown
+        assert dataclasses.replace(value) == value
+
+
+class TestValueTypeRules:
+    """dataclasses.replace builds through __init__, so each type's rule runs again."""
+
+    @pytest.mark.parametrize("value,change,message", [
+        (_BOX, {"width": -1.0}, "box width must be positive, got -1.0"),
+        (_BOX, {"center_x": math.inf}, "box corners must be finite and area positive and finite, got "
+                                       "Box(center_x=inf, center_y=2.0, width=3.0, height=4.0)"),
+        (_SCORED, {"score": 1.5}, "score must lie in [0, 1], got 1.5"),
+        (_SCORED, {"class_id": 2.5}, "class_id must be a whole number, got 2.5"),
+        (GridCell(4, 9, 32.0), {"stride": 0.0}, "stride must be positive, got 0.0"),
+        (GridCell(4, 9, 32.0), {"row": -1}, "cell indices must be non-negative, got (4, -1)"),
+    ])
+    def test_replace_runs_the_rule(self, value, change, message):
+        with pytest.raises(ValueError) as bad:
+            dataclasses.replace(value, **change)
+        assert str(bad.value) == message
+
+    @pytest.mark.parametrize("make,read,given", [
+        (lambda x: Box(x, 2.0, 3.0, 4.0), lambda made: made.center_x, 0.375),
+        (lambda x: Box(1.5, 2.0, 3.0, x), lambda made: made.height, 0.375),
+        (lambda x: ScoredBox(_BOX, x, 7), lambda made: made.score, 0.375),
+        (lambda x: Detection(3, ScoredBox(_BOX, x, 7), 5), lambda made: made.score, 0.375),
+        (lambda x: GridCell(4, 9, x), lambda made: made.stride, 0.375),
+        (lambda x: GridCell(x, 9, 32.0), lambda made: made.col, 4.0),
+    ], ids=["Box.center_x", "Box.height", "ScoredBox.score", "Detection.score", "GridCell.stride", "GridCell.col"])
+    def test_float32_field_is_stored_as_float(self, make, read, given):
+        stored = read(make(np.float32(given)))
+        assert type(stored) is float and stored == given
+
+    def test_class_id_and_indices_that_are_ints_stay_ints(self):
+        assert type(ScoredBox(_BOX, 0.5, 2**70).class_id) is int
+        cell = GridCell(2**70, 3)
+        assert (type(cell.col), type(cell.row), type(cell.stride)) == (int, int, float)
 
 
 # Values at the edges of the Box and score rules: NaN, the infinities, both zeros,
