@@ -123,13 +123,19 @@ def _columns(dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _distance_row(
-    columns, width: float, height: float, mode: str, out: np.ndarray, scratch: np.ndarray
+    columns, width, height, mode: str, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """One centroid's distance to every sample of _columns, written into out; scratch is a second buffer as long.
+    """Distances from the samples of _columns to one centroid, or each to its own, written into out.
 
-    The float operations and their order are those of the pairwise formulas,
-    so each entry has the same bits.  A centroid's area can leave the float
-    range, and it reads as it would in Python floats, with no warning.
+    width and height are one centroid's sides, or one pair per sample: numpy
+    broadcasts either through the same float operations.  scratch is a second
+    buffer as long as out.  The operations and their order are those of the
+    pairwise formulas, so each entry has the same bits, except where a
+    euclidean square passes the float range: that entry is the np.hypot of
+    the two differences, finite unless the distance itself is not.  A
+    centroid's area can leave the float range, and it reads as it would in
+    Python floats, with no warning.  No entry is NaN while every sample obeys
+    the size rule and every centroid is a sample or a mean of samples.
     """
     w, h, area = columns
     with np.errstate(all="ignore"):
@@ -139,7 +145,9 @@ def _distance_row(
             np.subtract(h, height, out=scratch)
             np.multiply(scratch, scratch, out=scratch)
             np.add(out, scratch, out=out)
-            return np.sqrt(out, out=out)
+            if np.sqrt(out, out=out).max() == math.inf:  # a square past the float range: the hypot of the differences
+                np.hypot(w - width, h - height, out=out, where=out == math.inf)
+            return out
         # Overlap of two boxes that share a center is min(w)*min(h).
         np.minimum(w, width, out=out)
         np.minimum(h, height, out=scratch)
@@ -150,25 +158,14 @@ def _distance_row(
         return np.subtract(1.0, out, out=out)
 
 
-def _distances(dims: np.ndarray, centroids: np.ndarray, mode: str) -> np.ndarray:
-    """Pairwise distance matrix, shape (num_samples, num_centroids): the transpose of one row per centroid."""
-    columns = _columns(dims)
-    rows = np.empty((len(centroids), len(dims)))
-    scratch = np.empty(len(dims))
-    for row, (width, height) in zip(rows, centroids.tolist()):
-        _distance_row(columns, width, height, mode, row, scratch)
-    return rows.T
-
-
 def _nearest(columns, centroids: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's nearest centroid and its distance: argmin over _distances and the entries it picks, bit for bit.
+    """Each sample's nearest centroid and its distance: argmin over all (n, k) distances and its entries, bit for bit.
 
     A running minimum over one distance row per centroid, so no (n, k)
     matrix is held.  A later centroid takes a sample only when strictly
     nearer, so ties go to the first, as with argmin; no distance is -0.0, so
-    a tie's minimum has the first centroid's bits too.  argmin also takes a
-    sample's first NaN, which no comparison picks; np.minimum carries the NaN
-    into the minimum, and those samples are given argmin's answer after.
+    a tie's minimum has the first centroid's bits too.  No distance is NaN
+    (see _distance_row), so every comparison is one argmin would make.
     """
     n = len(columns[0])
     nearest, taken = np.zeros(n, dtype=np.intp), np.empty(n, dtype=np.intp)
@@ -185,11 +182,6 @@ def _nearest(columns, centroids: np.ndarray, mode: str) -> tuple[np.ndarray, np.
         np.multiply(closer, c, out=taken)
         np.maximum(nearest, taken, out=nearest)
         np.minimum(row, best, out=best)
-    unset = np.flatnonzero(np.isnan(best))
-    if unset.size:
-        dist = _distances(np.column_stack((columns[0][unset], columns[1][unset])), centroids, mode)
-        nearest[unset] = dist.argmin(axis=1)
-        best[unset] = dist[np.arange(len(unset)), nearest[unset]]
     return nearest, best
 
 
@@ -240,14 +232,14 @@ def _update_centroids(
     k = centroids.shape[0]
     counts = np.bincount(assignments, minlength=k)
     filled = counts > 0
-    new = centroids.copy()  # an empty cluster keeps its old row until re-seeded, so _distances reads no unset memory
+    new = centroids.copy()  # an empty cluster keeps its old row until re-seeded, so no unset memory is read
     for column in range(2):
         sums = np.bincount(assignments, weights=dims[:, column], minlength=k)
         new[filled, column] = sums[filled] / counts[filled]
     empties = np.flatnonzero(~filled).tolist()
     if empties:
-        dist = _distances(dims, new, mode)
-        own = dist[np.arange(len(dims)), assignments]
+        # each sample's distance to its own cluster, in one pass over n-length columns
+        own = _distance_row(_columns(dims), *new[assignments].T, mode, np.empty(len(dims)), np.empty(len(dims)))
         for c in empties:
             farthest = int(np.argmax(own))
             new[c] = dims[farthest]
@@ -266,6 +258,13 @@ def _count_distinct(dims: np.ndarray, stop_at: int) -> int:
     return len(seen)
 
 
+def _mean_distance(distances: np.ndarray) -> float:
+    """The mean, or, where its sum of finite distances passes the float range, the sum of each over the count."""
+    with np.errstate(over="ignore"):
+        mean = distances.mean()
+        return float(mean if mean < math.inf else (distances / len(distances)).sum())
+
+
 def kmeans_anchors(
     samples: Sequence[DimensionSample],
     k: int,
@@ -280,7 +279,9 @@ def kmeans_anchors(
     changing, an update stops improving the objective, or max_iters passes.
     The mean update is not guaranteed to lower the overlap-based objective,
     so a non-improving update is rolled back and the run stops there; the
-    reported objective history is therefore strictly non-increasing.
+    reported objective history is therefore strictly non-increasing.  An
+    update whose mean passes the float range, which no prior can hold, is
+    rolled back the same way, so every centroid obeys the sample size rule.
 
     samples is a DimensionSamples, or any sequence of DimensionSample, which
     is turned into one first.  Deterministic for a fixed seed, which must be a
@@ -303,12 +304,15 @@ def kmeans_anchors(
     centroids = _plusplus_init(dims, columns, k, rng, distance)
 
     assignments, nearest = _nearest(columns, centroids, distance)
-    history = [float(nearest.mean())]
+    history = [_mean_distance(nearest)]
 
     for _ in range(max_iters):
         new_centroids = _update_centroids(dims, assignments, centroids, distance)
+        with np.errstate(all="ignore"):
+            if not _size_ok(new_centroids[:, 0], new_centroids[:, 1]).all():
+                break  # a mean past the float range: no prior holds it
         new_assignments, new_nearest = _nearest(columns, new_centroids, distance)
-        new_objective = float(new_nearest.mean())
+        new_objective = _mean_distance(new_nearest)
         if new_objective > history[-1]:
             break
         moved = not np.array_equal(new_assignments, assignments)

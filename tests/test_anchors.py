@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detkit import (
@@ -137,8 +137,23 @@ class TestDimensionSamples:
         assert str(one.value) == f"sample size must be positive and finite, got {width!r} x {height!r}"
 
 
+def _distance_matrix(dims, centroids, mode):
+    """The (n, k) matrix stacked from one _distance_row per centroid."""
+    columns, scratch = anchors._columns(dims), np.empty(len(dims))
+    return np.column_stack([anchors._distance_row(columns, w, h, mode, np.empty(len(dims)), scratch)
+                            for w, h in centroids.tolist()])
+
+
+def _oracle_row(columns, width, height, mode, out, scratch):
+    """_distance_row through oracle_distances: each sample's entry in its own centroid's column."""
+    widths, heights = np.broadcast_arrays(width, height, columns[0])[:2]
+    centroids, own = np.unique(np.column_stack((widths, heights)), axis=0, return_inverse=True)
+    out[:] = oracle_distances(np.column_stack(columns[:2]), centroids, mode)[np.arange(len(out)), own.ravel()]
+    return out
+
+
 class TestDistancesMatchPairwiseFormulas:
-    """The (n, k) distance matrices are bit-identical to the (n, k, 2) formulas."""
+    """The distance rows, stacked into (n, k), are bit-identical to the (n, k, 2) formulas."""
 
     @pytest.mark.parametrize("mode", ["iou", "euclidean"])
     @pytest.mark.parametrize("seed", range(4))
@@ -147,29 +162,32 @@ class TestDistancesMatchPairwiseFormulas:
         dims = np.concatenate([_benchmark_like_sizes(seed, 500), rng.uniform(1e-3, 1e3, (500, 2))])
         for k in (1, 3, 9):
             centroids = dims[rng.choice(len(dims), k, replace=False)] * rng.uniform(0.5, 2.0, (k, 2))
-            got = anchors._distances(dims, centroids, mode)
+            got = _distance_matrix(dims, centroids, mode)
             want = oracle_distances(dims, centroids, mode)
             assert got.shape == want.shape == (len(dims), k)
             assert got.tobytes() == want.tobytes()
 
     def test_iou_distances_fill_two_buffers(self):
+        # The empty-cluster repair reads each sample's distance to its own cluster from one row into two
+        # n-length buffers, where an (n, k) matrix of every distance once took k + 4 n-length arrays.
         dims = _benchmark_like_sizes(0, 20_000)
-        centroids = dims[:9] * 1.5
+        k = 20
+        assignments = np.zeros(len(dims), dtype=np.intp)  # clusters 1 to 19 are empty
+        centroids = dims[:k] * 1.5
         tracemalloc.start()
         try:
-            anchors._distances(dims, centroids, "iou")
+            anchors._update_centroids(dims, assignments, centroids, "iou")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two (n, k) float64 buffers and the (n, 1) sample areas, where fresh temporaries held four (n, k) at once
-        assert peak < 2.5 * dims.shape[0] * len(centroids) * 8
+        assert peak < dims.shape[0] * k * 8
 
     @pytest.mark.parametrize("mode", ["iou", "euclidean"])
     def test_same_clustering_as_pairwise_formulas(self, mode, monkeypatch):
         dims = _benchmark_like_sizes(21, 3000)
         got = [kmeans_anchors(DimensionSamples(dims), k, max_iters=8, seed=seed, distance=mode)
                for k in (1, 2, 5, 9) for seed in range(3)]
-        monkeypatch.setattr(anchors, "_distances", oracle_distances)
+        monkeypatch.setattr(anchors, "_distance_row", _oracle_row)
         want = [kmeans_anchors(DimensionSamples(dims), k, max_iters=8, seed=seed, distance=mode)
                 for k in (1, 2, 5, 9) for seed in range(3)]
         assert got == want
@@ -184,12 +202,8 @@ class TestDistancesMatchPairwiseFormulas:
             return [kmeans_anchors(DimensionSamples(dims), k, max_iters=8, seed=seed, distance=mode)
                     for k in (1, 2, 5, 9) for seed in range(3)]
 
-        def oracle_row(columns, width, height, mode, out, scratch):
-            out[:] = oracle_distances(np.column_stack(columns[:2]), np.array([[width, height]]), mode)[:, 0]
-            return out
-
         got = fits()
-        monkeypatch.setattr(anchors, "_distance_row", oracle_row)
+        monkeypatch.setattr(anchors, "_distance_row", _oracle_row)
         monkeypatch.setattr(anchors, "_nearest", lambda columns, centroids, mode: oracle_nearest(
             np.column_stack(columns[:2]), centroids, mode))
         monkeypatch.setattr(anchors, "_update_centroids", oracle_update_centroids)
@@ -222,14 +236,10 @@ def _lloyd_steps(draw):
 class TestLloydStepsMatchOracles:
     """The running-minimum assignment and the bincount update are the argmin and mask-and-mean steps, bit for bit."""
 
-    @given(_lloyd_steps(), st.sampled_from(["iou", "euclidean"]), st.sampled_from([None, "sample", "centroid"]))
+    @given(_lloyd_steps(), st.sampled_from(["iou", "euclidean"]))
     @settings(max_examples=300, deadline=None)
-    def test_nearest_is_argmin_and_its_entries(self, step, mode, nan_in):
+    def test_nearest_is_argmin_and_its_entries(self, step, mode):
         dims, centroids, _ = step
-        if nan_in == "sample":  # every distance of that sample is NaN: argmin takes centroid 0
-            dims[len(dims) // 2, 0] = math.nan
-        elif nan_in == "centroid":  # a NaN column, every sample's first NaN: argmin gives it every sample
-            centroids[len(centroids) // 2, 1] = math.nan
         got_nearest, got_best = anchors._nearest(anchors._columns(dims), centroids, mode)
         want_nearest, want_best = oracle_nearest(dims, centroids, mode)
         assert got_nearest.tolist() == want_nearest.tolist()
@@ -243,16 +253,12 @@ class TestLloydStepsMatchOracles:
         want = oracle_update_centroids(dims, assignments, centroids, mode)
         assert got.tobytes() == want.tobytes()
 
-    def test_ties_and_nan_go_to_the_first_centroid(self):
-        dims = np.array([[2.0, 3.0], [5.0, 5.0], [math.nan, 1.0]])
-        centroids = np.array([[4.0, 4.0], [2.0, 3.0], [2.0, 3.0], [4.0, 4.0], [math.nan, 2.0], [math.nan, 2.0]])
+    def test_ties_go_to_the_first_centroid(self):
+        dims = np.array([[2.0, 3.0], [5.0, 5.0]])
+        centroids = np.array([[4.0, 4.0], [2.0, 3.0], [2.0, 3.0], [4.0, 4.0]])
         for mode in ("iou", "euclidean"):
+            # sample 0 ties centroids 1 and 2 at 0.0, and sample 1 ties centroids 0 and 3
             nearest, best = anchors._nearest(anchors._columns(dims), centroids, mode)
-            # samples 0 and 1 meet centroid 4's NaN first; sample 2, NaN itself, meets one at centroid 0
-            assert nearest.tolist() == [4, 4, 0]
-            assert np.isnan(best).all()
-            # without the NaNs, sample 0 ties centroids 1 and 2 at 0.0, and sample 1 ties centroids 0 and 3
-            nearest, best = anchors._nearest(anchors._columns(dims[:2]), centroids[:4], mode)
             assert nearest.tolist() == [1, 0] and best[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -278,14 +284,14 @@ class TestLloydStepsMatchOracles:
 
 class TestKmeansAnchors:
     def test_centroid_area_past_the_float_range_clusters_without_warning(self):
-        # Both areas are 1e10, but the mean size is 5e299 x 5e299, whose area overflows: the distance rows
-        # read it as Python floats do, and numpy warns of nothing (pytest makes its warnings errors).
+        # Both areas are 1e10, but the mean size is 5e299 x 5e299, whose area overflows: no prior may hold
+        # it, and numpy warns of nothing (pytest makes its warnings errors).
         samples = DimensionSamples([[1e300, 1e-290], [1e-290, 1e300]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             iou_fit = kmeans_anchors(samples, 1)
             kmeans_anchors(samples, 1, distance="euclidean")
-        # the mean lies at distance 1 from both samples, worse than a sample's 0.5, so it is rolled back
+        # the mean breaks the size rule, so the update is rolled back
         assert iou_fit.objective_history == (0.5,)
 
     def test_list_and_array_backed_samples_cluster_alike(self):
@@ -490,6 +496,72 @@ class TestEmptyCluster:
             warnings.simplefilter("error")
             new = anchors._update_centroids(self.dims, self.assignments, self.centroids, mode)
         assert new[2].tolist() == [1.0, 1.0]
+
+
+_any_side = st.floats(min_value=0.0, max_value=np.finfo(np.float64).max, exclude_min=True)
+_valid_sizes = st.tuples(_any_side, _any_side).filter(lambda size: anchors._size_ok(*size))
+
+# The first rows of the nine-line box file below: its two widest sizes sum past the float range.
+_OVERFLOWING_MEAN = [[1.5e308, 1e-290], [1.7e308, 1e-290], [49.0, 233.0], [52.0, 137.0], [29.0, 17.0]]
+
+
+@st.composite
+def _samples_and_centroids(draw):
+    """Valid sizes spanning the float range, and centroids drawn from them or from the np.bincount
+    means of a random assignment, as Lloyd makes them (+inf where a cluster's sum passes the float range)."""
+    dims = np.array(draw(st.lists(_valid_sizes, min_size=1, max_size=12)))
+    k = draw(st.integers(1, 4))
+    assignments = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(dims), max_size=len(dims))))
+    counts = np.bincount(assignments, minlength=k)
+    with np.errstate(over="ignore"):
+        means = np.column_stack([np.bincount(assignments, weights=dims[:, c], minlength=k) for c in range(2)])
+        means = means[counts > 0] / counts[counts > 0, None]
+    picked = dims[draw(st.lists(st.integers(0, len(dims) - 1), max_size=3))]
+    return dims, np.concatenate([means, picked])
+
+
+class TestSizesAcrossTheFloatRange:
+    """Every valid size clusters: no NaN distance, no warning, no infinite objective, no centroid a prior rejects."""
+
+    @given(_samples_and_centroids(), st.sampled_from(["iou", "euclidean"]))
+    @example((np.array(_OVERFLOWING_MEAN), np.array([[math.inf, 1e-290], [49.0, 233.0]])), "iou")
+    @example((np.array(_OVERFLOWING_MEAN), np.array([[math.inf, 1e-290], [49.0, 233.0]])), "euclidean")
+    @settings(max_examples=300, deadline=None)
+    def test_distance_rows_hold_no_nan(self, step, mode):
+        dims, centroids = step
+        columns = anchors._columns(dims)
+        out, scratch = np.empty(len(dims)), np.empty(len(dims))
+        for width, height in centroids.tolist():
+            assert not np.isnan(anchors._distance_row(columns, width, height, mode, out, scratch)).any()
+        own = centroids[np.arange(len(dims)) % len(centroids)]
+        assert not np.isnan(anchors._distance_row(columns, *own.T, mode, out, scratch)).any()
+
+    def test_euclidean_squares_past_the_float_range_read_as_hypot(self):
+        dims = np.array([[1e200, 1e-200], [1.0, 1.0], [4.0, 5.0]])
+        row = anchors._distance_row(anchors._columns(dims), 1.0, 1.0, "euclidean", np.empty(3), np.empty(3))
+        assert row.tolist() == [math.hypot(1e200 - 1.0, 1e-200 - 1.0), 0.0, 5.0]
+
+    @pytest.mark.parametrize("rows,k,seed,mode", [
+        (_OVERFLOWING_MEAN + [[124.0, 177.0], [26.0, 215.0], [24.0, 71.0], [6.0, 136.0]], 2, 1, "iou"),
+        ([[1.5e308, 1e-300], [1.6e308, 1e-300], [1.0, 1.0]], 1, 0, "euclidean"),
+        ([[1e200, 1e-200], [1.0, 1.0], [2.0, 2.0], [3e199, 1e-199]], 2, 0, "euclidean"),
+    ])
+    def test_sizes_far_apart_cluster(self, rows, k, seed, mode):
+        # A cluster mean once overflowed to an infinite prior, and euclidean sizes 1e154 or more apart
+        # once read infinitely far, so that the objective was inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = kmeans_anchors(DimensionSamples(rows), k, seed=seed, distance=mode)
+        assert all(anchors._size_ok(c.width, c.height) for c in fit.centroids)
+        assert math.isfinite(fit.objective)
+        assert all(later <= earlier for earlier, later in zip(fit.objective_history, fit.objective_history[1:]))
+
+    def test_objective_of_distances_whose_sum_passes_the_float_range(self):
+        distances = np.array([1.5e308, 1.7e308, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert anchors._mean_distance(distances) == (distances / 3).sum()
+        assert anchors._mean_distance(np.array([0.25, 0.5])) == 0.375
 
 
 class TestCountArguments:

@@ -293,6 +293,20 @@ class TestAnchors:
         assert (result.returncode, result.stderr) == (EXIT_OK, "")
         assert result.stdout == "1e+200 1e-200\n1.5 1.5\n"
 
+    def test_sizes_whose_mean_leaves_the_float_range_cluster(self, tmp_path):
+        # the two widest sizes once averaged to an infinite width, which no prior holds, and the run exited 65
+        boxes = tmp_path / "wide.txt"
+        boxes.write_text("1.5e308 1e-290\n1.7e308 1e-290\n49 233\n52 137\n29 17\n124 177\n26 215\n24 71\n6 136\n",
+                         encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "detkit.cli", "anchors", "--boxes", str(boxes), "--k", "2",
+             "--scales", "1", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert result.stdout == "29 17\n6 136\n"
+
     @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
     def test_non_finite_size_is_data_error(self, tmp_path, line):
         bad = tmp_path / "dims.txt"
