@@ -158,47 +158,75 @@ def _distance_row(
         return np.subtract(1.0, out, out=out)
 
 
-def _nearest(columns, centroids: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's nearest centroid and its distance: argmin over all (n, k) distances and its entries, bit for bit.
+class _RunningNearest:
+    """Each sample's nearest centroid so far and its distance, one centroid's distance row folded in at a time.
 
-    A running minimum over one distance row per centroid, so no (n, k)
-    matrix is held.  A later centroid takes a sample only when strictly
-    nearer, so ties go to the first, as with argmin; no distance is -0.0, so
-    a tie's minimum has the first centroid's bits too.  No distance is NaN
-    (see _distance_row), so every comparison is one argmin would make.
+    After rows 0 to c, the index kept and best are the argmin over those
+    (n, c + 1) distances and its entries, bit for bit, with no (n, k) matrix
+    held.  A later centroid takes a sample only when strictly nearer, so ties
+    go to the first, as with argmin; no distance is -0.0, so a tie's minimum
+    has the first centroid's bits too.  No distance is NaN (see
+    _distance_row), so every comparison is one argmin would make.  The index
+    is held in the smallest type that counts to k - 1, and result widens it
+    to intp once.  scratch is free between folds.
     """
-    n = len(columns[0])
-    nearest, taken = np.zeros(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    best, row, scratch = np.empty(n), np.empty(n), np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    for c, (width, height) in enumerate(centroids.tolist()):
+
+    __slots__ = ("_columns", "_mode", "_folded", "_argmin", "best", "scratch", "_row", "_taken", "_closer")
+
+    def __init__(self, columns, k: int, mode: str) -> None:
+        n = len(columns[0])
+        index = np.min_scalar_type(k - 1)
+        self._columns, self._mode, self._folded = columns, mode, 0
+        self._argmin, self._taken = np.zeros(n, dtype=index), np.empty(n, dtype=index)
+        self.best, self.scratch, self._row = np.empty(n), np.empty(n), np.empty(n)
+        self._closer = np.empty(n, dtype=bool)
+
+    def fold(self, width: float, height: float) -> None:
+        """Fold in the next centroid's distance row."""
+        c = self._folded
+        self._folded += 1
         if c == 0:
-            _distance_row(columns, width, height, mode, best, scratch)
-            continue
-        _distance_row(columns, width, height, mode, row, scratch)
-        np.less(row, best, out=closer)
+            _distance_row(self._columns, width, height, self._mode, self.best, self.scratch)
+            return
+        row = _distance_row(self._columns, width, height, self._mode, self._row, self.scratch)
+        np.less(row, self.best, out=self._closer)
         # Every index taken so far is below c, so the maximum sets c exactly where closer holds
         # (a masked store reads the mask branch by branch and costs several times as much).
-        np.multiply(closer, c, out=taken)
-        np.maximum(nearest, taken, out=nearest)
-        np.minimum(row, best, out=best)
-    return nearest, best
+        np.multiply(self._closer, self._argmin.dtype.type(c), out=self._taken)
+        np.maximum(self._argmin, self._taken, out=self._argmin)
+        np.minimum(row, self.best, out=self.best)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._argmin.astype(np.intp), self.best
 
 
-def _plusplus_init(dims: np.ndarray, columns, k: int, rng: np.random.Generator, mode: str) -> np.ndarray:
+def _nearest(columns, centroids: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's nearest centroid and its distance: argmin over all (n, k) distances and its entries, bit for bit."""
+    running = _RunningNearest(columns, len(centroids), mode)
+    for width, height in centroids.tolist():
+        running.fold(width, height)
+    return running.result()
+
+
+def _plusplus_init(
+    dims: np.ndarray, columns, k: int, rng: np.random.Generator, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded k-means++ initialization: spread starting centroids by squared distance.
 
-    columns are _columns(dims).  Every row goes into one of three buffers made
-    once: a fresh array per chosen centroid costs more in page faults than
-    its arithmetic.  The running minimum is kept over the distances and
-    squared per draw, into the scratch buffer: squaring keeps the order of
-    non-negative floats, so the weights are the minimum of the squares bit
-    for bit.
+    Returns the centroids with the first assignment, _nearest(columns,
+    centroids, mode) bit for bit: the running minimum that weights each draw
+    folds in the same rows, in the same order, and keeps its argmin too.
+    columns are _columns(dims).  Every row goes into buffers made once: a
+    fresh array per chosen centroid costs more in page faults than its
+    arithmetic.  The minimum is kept over the distances and squared per draw,
+    into the scratch buffer: squaring keeps the order of non-negative floats,
+    so the weights are the minimum of the squares bit for bit.
     """
     n = dims.shape[0]
-    d, new_d, scratch = np.empty(n), np.empty(n), np.empty(n)
+    running = _RunningNearest(columns, k, mode)
+    d, scratch = running.best, running.scratch
     chosen = [int(rng.integers(n))]
-    _distance_row(columns, *dims[chosen[-1]].tolist(), mode, d, scratch)
+    running.fold(*dims[chosen[-1]].tolist())
     while len(chosen) < k:
         with np.errstate(over="ignore", invalid="ignore"):
             weights = np.square(d, out=scratch)
@@ -213,10 +241,14 @@ def _plusplus_init(dims: np.ndarray, columns, k: int, rng: np.random.Generator, 
             # once every weight is 0, any size not chosen yet may come next (k <= the distinct count leaves one).
             weights = ~(dims[:, None] == dims[chosen]).all(axis=2).any(axis=1)
             total = weights.sum()
-        chosen.append(int(rng.choice(n, p=weights / total)))
-        _distance_row(columns, *dims[chosen[-1]].tolist(), mode, new_d, scratch)
-        np.minimum(d, new_d, out=d)
-    return dims[chosen].copy()
+        # rng.choice(n, p=weights / total) draws by this inverse CDF after checking the weights, which are
+        # non-negative with a positive finite total by construction.
+        cdf = np.divide(weights, total, out=scratch)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
+        running.fold(*dims[chosen[-1]].tolist())
+    return (dims[chosen].copy(), *running.result())
 
 
 def _update_centroids(
@@ -265,6 +297,23 @@ def _mean_distance(distances: np.ndarray) -> float:
         return float(mean if mean < math.inf else (distances / len(distances)).sum())
 
 
+def _objective(columns, centroids: np.ndarray, assignments: np.ndarray, distances: np.ndarray) -> float:
+    """The mean distance of each sample to its centroid, finite wherever the true mean is.
+
+    That is _mean_distance, unless a euclidean distance passes the float range
+    itself: then each sample's distance over the count is taken from its
+    differences, np.hypot(dw / n, dh / n), before summing.  The difference of
+    two positive sides never overflows.
+    """
+    mean = _mean_distance(distances)
+    if mean < math.inf:
+        return mean
+    n = len(distances)
+    width, height = centroids[assignments].T
+    with np.errstate(over="ignore"):
+        return float(np.hypot((columns[0] - width) / n, (columns[1] - height) / n).sum())
+
+
 def kmeans_anchors(
     samples: Sequence[DimensionSample],
     k: int,
@@ -301,10 +350,8 @@ def kmeans_anchors(
         raise InsufficientSamplesError(f"{k} clusters requested but only {distinct} distinct samples given")
     rng = np.random.default_rng(seed)
     columns = _columns(dims)
-    centroids = _plusplus_init(dims, columns, k, rng, distance)
-
-    assignments, nearest = _nearest(columns, centroids, distance)
-    history = [_mean_distance(nearest)]
+    centroids, assignments, nearest = _plusplus_init(dims, columns, k, rng, distance)
+    history = [_objective(columns, centroids, assignments, nearest)]
 
     for _ in range(max_iters):
         new_centroids = _update_centroids(dims, assignments, centroids, distance)
@@ -312,7 +359,7 @@ def kmeans_anchors(
             if not _size_ok(new_centroids[:, 0], new_centroids[:, 1]).all():
                 break  # a mean past the float range: no prior holds it
         new_assignments, new_nearest = _nearest(columns, new_centroids, distance)
-        new_objective = _mean_distance(new_nearest)
+        new_objective = _objective(columns, new_centroids, new_assignments, new_nearest)
         if new_objective > history[-1]:
             break
         moved = not np.array_equal(new_assignments, assignments)

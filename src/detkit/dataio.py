@@ -18,6 +18,7 @@ import gc
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -363,24 +364,45 @@ def load_dimension_samples(path: str | Path) -> DimensionSamples:
     ParseError naming the line number.
     """
     text = _read_text(path)
-    lines = text.splitlines()
     # The line walk below is the definition of the format.  numpy's C reader
     # takes the common case in one call; whatever it refuses, and any row
     # that breaks the size rule, goes through the walk, which returns the
     # same array or raises the ParseError naming the line.  Text without a
-    # '#' holds no comment line to drop.  (The `in` test comes first because
-    # it costs a third of lstrip.)
-    data = lines
-    if "#" in text:
-        data = [line for line in lines if "#" not in line or not line.lstrip().startswith("#")]
-    if any(map(str.strip, data)):  # loadtxt warns on input without a row
+    # '#' holds no comment line to drop, and numpy reads it by its path, in C
+    # chunks, where it would take lines one at a time in Python.
+    if "#" not in text and _numpy_reads_lines_alike(path, text):
+        data, has_row = os.path.abspath(path), bool(text.strip())  # absolute, so numpy never takes it for a URL
+    else:
+        data = text.splitlines()
+        if "#" in text:  # (the `in` test comes first because it costs a third of lstrip)
+            data = [line for line in data if "#" not in line or not line.lstrip().startswith("#")]
+        has_row = any(map(str.strip, data))
+    if has_row:  # loadtxt warns on input without a row
         try:
-            sizes = np.loadtxt(data, comments=None, ndmin=2)
+            sizes = np.loadtxt(data, comments=None, ndmin=2, encoding="utf-8")
             if sizes.shape[1] == 2:
                 return DimensionSamples(sizes)
         except ValueError:
             pass
-    return DimensionSamples(_walk_dimension_lines(path, lines))
+    return DimensionSamples(_walk_dimension_lines(path, text.splitlines()))
+
+
+# The line breaks of str.splitlines besides "\n", "\r\n" and "\r", at which a file read as text does not break.
+_OTHER_LINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _numpy_reads_lines_alike(path: str | Path, text: str) -> bool:
+    """Whether np.loadtxt, given the path, reads the lines that text.splitlines() gives.
+
+    numpy opens a regular file as text with universal newlines, so the lines
+    agree unless the text holds another break.  It decompresses a file by its
+    suffix, and a pipe, already read, holds nothing more.
+    """
+    return (
+        not any(char in text for char in _OTHER_LINE_BREAKS)
+        and os.path.isfile(path)
+        and os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma")
+    )
 
 
 def _walk_dimension_lines(path: str | Path, lines: list[str]) -> np.ndarray:

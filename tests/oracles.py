@@ -243,6 +243,28 @@ def oracle_nearest(dims: np.ndarray, centroids: np.ndarray, mode: str) -> tuple[
     return nearest, dist[np.arange(len(dims)), nearest]
 
 
+def oracle_plusplus_init(dims: np.ndarray, k: int, rng: np.random.Generator, mode: str) -> np.ndarray:
+    """k-means++ seeding through rng.choice: the first pick uniform, each next one weighted by the squared distance
+    to the nearest pick so far, from the (n, picks) oracle distances.  Squares past the float range weigh as
+    (d / d.max())**2, infinite distances sharing the draw equally; when every weight is 0, each size not picked
+    yet weighs alike.  Returns the picked rows."""
+    n = len(dims)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        d = oracle_distances(dims, dims[chosen], mode).min(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = d * d
+            total = weights.sum()
+            if not total < math.inf:
+                weights = np.where(d == math.inf, 1.0, d / d.max()) ** 2
+                total = weights.sum()
+        if not total:
+            weights = ~(dims[:, None] == dims[chosen]).all(axis=2).any(axis=1)
+            total = weights.sum()
+        chosen.append(int(rng.choice(n, p=weights / total)))
+    return dims[chosen].copy()
+
+
 def oracle_update_centroids(
     dims: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, mode: str
 ) -> np.ndarray:

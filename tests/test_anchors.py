@@ -22,7 +22,7 @@ from detkit import (
     kmeans_anchors,
     split_scales,
 )
-from oracles import oracle_distances, oracle_nearest, oracle_update_centroids
+from oracles import oracle_distances, oracle_nearest, oracle_plusplus_init, oracle_update_centroids
 
 sample_dims = st.builds(
     DimensionSample,
@@ -152,6 +152,12 @@ def _oracle_row(columns, width, height, mode, out, scratch):
     return out
 
 
+def _oracle_seeding(dims, columns, k, rng, mode):
+    """_plusplus_init through its oracles: the rng.choice draws, then the argmin assignment to the picks."""
+    picks = oracle_plusplus_init(dims, k, rng, mode)
+    return (picks, *oracle_nearest(dims, picks, mode))
+
+
 class TestDistancesMatchPairwiseFormulas:
     """The distance rows, stacked into (n, k), are bit-identical to the (n, k, 2) formulas."""
 
@@ -194,8 +200,8 @@ class TestDistancesMatchPairwiseFormulas:
 
     @pytest.mark.parametrize("mode", ["iou", "euclidean"])
     def test_same_clustering_as_oracle_steps(self, mode, monkeypatch):
-        # Every step through its oracle: the distance formulas (so k-means++ and the empty-cluster
-        # repair read them too), argmin assignment and the mask-and-mean update.
+        # Every step through its oracle: the distance formulas (so the empty-cluster repair reads them
+        # too), the k-means++ draws and first assignment, argmin assignment and the mask-and-mean update.
         dims = _benchmark_like_sizes(22, 3000)
 
         def fits():
@@ -204,6 +210,7 @@ class TestDistancesMatchPairwiseFormulas:
 
         got = fits()
         monkeypatch.setattr(anchors, "_distance_row", _oracle_row)
+        monkeypatch.setattr(anchors, "_plusplus_init", _oracle_seeding)
         monkeypatch.setattr(anchors, "_nearest", lambda columns, centroids, mode: oracle_nearest(
             np.column_stack(columns[:2]), centroids, mode))
         monkeypatch.setattr(anchors, "_update_centroids", oracle_update_centroids)
@@ -282,6 +289,67 @@ class TestLloydStepsMatchOracles:
         assert order_shows  # the data tells summation orders apart
 
 
+# Size pools for the seeding: few values, so that rows and distances tie.  Under "overflow" the euclidean
+# squares of widths about 1e154 apart add up past the float range, while each pair's own square sum stays
+# finite, so the oracle's distances keep _distance_row's bits.  Under "zero", 1 x 1 and 1 x 1.0000000000000002
+# lie at IOU distance 0.0, so every weight can be 0 while a size is still unpicked.
+_SEEDING_POOLS = {
+    "ties": ([1.0, 2.0, 3.0, 5.0], [1.0, 2.0, 4.0]),
+    "overflow": ([1.0, 3.0, 1e154, 1.1e154, 1.2e154], [1.0, 2.0, 3.0]),
+    "zero": ([1.0, 1.0000000000000002, 7.0], [1.0, 1.0000000000000002]),
+}
+
+
+@st.composite
+def _seeding_cases(draw):
+    """Sizes from one pool, and a cluster count no greater than their distinct count."""
+    widths, heights = _SEEDING_POOLS[draw(st.sampled_from(sorted(_SEEDING_POOLS)))]
+    rows = draw(st.lists(st.tuples(st.sampled_from(widths), st.sampled_from(heights)), min_size=1, max_size=30))
+    k = draw(st.integers(1, len(set(rows))))
+    return np.array(rows), k
+
+
+class TestSeedingMatchesOracles:
+    """The k-means++ picks are rng.choice's, and the first assignment the seeding returns is argmin's."""
+
+    @given(_seeding_cases(), st.sampled_from(["iou", "euclidean"]), st.integers(0, 2**32 - 1))
+    @example((np.array([[1.0, 1.0]] * 5 + [[1.0, 1.0000000000000002], [7.0, 1.0]]), 3), "iou", 0)
+    @example((np.array([[1.0, 1.0], [1e154, 1.0], [1.2e154, 2.0], [3.0, 1.0]]), 3), "euclidean", 0)
+    @settings(max_examples=300, deadline=None)
+    def test_picks_and_first_assignment(self, case, mode, seed):
+        dims, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            picks, nearest, best = anchors._plusplus_init(
+                dims, anchors._columns(dims), k, np.random.default_rng(seed), mode)
+        assert picks.tobytes() == oracle_plusplus_init(dims, k, np.random.default_rng(seed), mode).tobytes()
+        want_nearest, want_best = oracle_nearest(dims, picks, mode)
+        assert nearest.dtype == np.intp and nearest.tolist() == want_nearest.tolist()
+        assert best.tobytes() == want_best.tobytes()
+
+    def test_pools_reach_both_special_weights(self):
+        # The overflow pool's squares add up past the float range, and the zero pool's IOU distances are 0.0.
+        dims = np.array([[1.0, 1.0], [1e154, 1.0], [1.2e154, 2.0]])
+        d = oracle_distances(dims, dims[:1], "euclidean")[:, 0]
+        with np.errstate(over="ignore"):
+            assert np.isfinite(d).all() and (d * d).sum() == math.inf
+        dims = np.array([[1.0, 1.0], [1.0, 1.0000000000000002]])
+        assert oracle_distances(dims, dims[:1], "iou")[:, 0].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mode", ["iou", "euclidean"])
+    @pytest.mark.parametrize("k", [1, 255, 256, 257])
+    def test_nearest_where_the_index_type_widens(self, k, mode):
+        # The index is held in uint8 up to k = 256 and in uint16 past it; every centroid is a distinct sample,
+        # which it alone lies nearest, so every index up to k - 1 is stored.
+        dims = np.unique(_benchmark_like_sizes(k, 3000), axis=0)
+        centroids = dims[np.random.default_rng(k).choice(len(dims), k, replace=False)]
+        nearest, best = anchors._nearest(anchors._columns(dims), centroids, mode)
+        want_nearest, want_best = oracle_nearest(dims, centroids, mode)
+        assert nearest.dtype == np.intp and nearest.tolist() == want_nearest.tolist()
+        assert best.tobytes() == want_best.tobytes()
+        assert set(nearest.tolist()) == set(range(k))
+
+
 class TestKmeansAnchors:
     def test_centroid_area_past_the_float_range_clusters_without_warning(self):
         # Both areas are 1e10, but the mean size is 5e299 x 5e299, whose area overflows: no prior may hold
@@ -335,7 +403,8 @@ class TestKmeansAnchors:
             dims = np.array(rows)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                picks = anchors._plusplus_init(dims, anchors._columns(dims), 2, np.random.default_rng(seed), "euclidean")
+                picks, _, _ = anchors._plusplus_init(
+                    dims, anchors._columns(dims), 2, np.random.default_rng(seed), "euclidean")
                 fit = kmeans_anchors(DimensionSamples(dims), 2, seed=seed, distance="euclidean")
             assert len({tuple(p) for p in picks.tolist()}) == 2 and len(set(fit.centroids)) == 2
         assert AnchorPrior(1e200, 1e-200) in kmeans_anchors(
@@ -357,7 +426,7 @@ class TestKmeansAnchors:
     @pytest.mark.parametrize("mode,seed", list(_SEEDED_PICKS))
     def test_seeded_picks_are_unchanged(self, mode, seed):
         dims = _benchmark_like_sizes(seed, 2000)
-        picks = anchors._plusplus_init(dims, anchors._columns(dims), 9, np.random.default_rng(seed), mode)
+        picks, _, _ = anchors._plusplus_init(dims, anchors._columns(dims), 9, np.random.default_rng(seed), mode)
         assert picks.tobytes() == dims[self._SEEDED_PICKS[mode, seed]].tobytes()
 
     def test_k_equals_distinct_samples(self):
@@ -554,6 +623,17 @@ class TestSizesAcrossTheFloatRange:
             fit = kmeans_anchors(DimensionSamples(rows), k, seed=seed, distance=mode)
         assert all(anchors._size_ok(c.width, c.height) for c in fit.centroids)
         assert math.isfinite(fit.objective)
+        assert all(later <= earlier for earlier, later in zip(fit.objective_history, fit.objective_history[1:]))
+
+    def test_euclidean_objective_past_the_float_range_is_finite(self):
+        # The two sizes lie about 2.4e308 apart, so that distance itself is infinite; the mean, about 1.2e308,
+        # is not, and its terms are taken from the differences over the count.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = kmeans_anchors([DimensionSample(1.7e308, 1e-300), DimensionSample(1e-300, 1.7e308)], 1,
+                                 distance="euclidean")
+        assert math.isfinite(fit.objective) and fit.objective == fit.objective_history[-1]
+        assert fit.objective == math.hypot(1.7e308 / 2, 1.7e308 / 2)
         assert all(later <= earlier for earlier, later in zip(fit.objective_history, fit.objective_history[1:]))
 
     def test_objective_of_distances_whose_sum_passes_the_float_range(self):

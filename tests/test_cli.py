@@ -307,6 +307,26 @@ class TestAnchors:
         assert (result.returncode, result.stderr) == (EXIT_OK, "")
         assert result.stdout == "29 17\n6 136\n"
 
+    @pytest.mark.parametrize("source", ["pipe", "gz-suffix"])
+    def test_a_pipe_or_any_suffix_reads_as_text(self, tmp_path, source):
+        # numpy's reader, handed the path, would find a pipe already read empty, and would unzip a file by its name
+        rng = random.Random(0)
+        text = "".join(f"{rng.randint(4, 400)} {rng.randint(4, 400)}\n" for _ in range(300))
+        plain = tmp_path / "sizes.txt"
+        plain.write_text(text, encoding="utf-8")
+        argv = [sys.executable, "-m", "detkit.cli", "anchors", "--k", "9", "--scales", "3", "--boxes"]
+        want = subprocess.run([*argv, str(plain)], capture_output=True)
+        if source == "pipe":
+            if not os.path.exists("/dev/stdin"):
+                pytest.skip("no /dev/stdin")
+            got = subprocess.run([*argv, "/dev/stdin"], input=text.encode("utf-8"), capture_output=True)
+        else:
+            named = tmp_path / "sizes.txt.gz"
+            named.write_text(text, encoding="utf-8")
+            got = subprocess.run([*argv, str(named)], capture_output=True)
+        assert (want.returncode, want.stderr) == (EXIT_OK, b"") and want.stdout.count(b"\n") == 11
+        assert (got.returncode, got.stdout, got.stderr) == (EXIT_OK, want.stdout, b"")
+
     @pytest.mark.parametrize("line", ["nan 5", "5 inf"])
     def test_non_finite_size_is_data_error(self, tmp_path, line):
         bad = tmp_path / "dims.txt"

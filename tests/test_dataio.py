@@ -500,6 +500,67 @@ class TestDimensionSamplesMatchLineWalk:
             assert got.tobytes() == want.tobytes()
 
 
+# Every line break of str.splitlines; a file read as text breaks lines only at the first three.
+_SPLITLINES_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_EDGE_LINES = [
+    "10 13", "16.5 30", " 7\t9 ", "", "  ", "\t", "\ufeff10 13", "# c", "  #1 2", "1 2 3", "1_0 2", "nan 1",
+    "2 inf", "0x10 2", "-1 2", "8\x1f9", "\x1f",
+]
+
+
+class TestDimensionSamplesMatchWalkOnLineBreaks:
+    """load_dimension_samples returns the walk's array, or raises its exact ParseError, whatever breaks the lines."""
+
+    @staticmethod
+    def _check(tmp_path, text):
+        path = tmp_path / "sizes.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _load_outcome(lambda p: load_dimension_samples(p).sizes.tobytes(), path)
+        want = _load_outcome(lambda p: dataio._walk_dimension_lines(p, text.splitlines()).tobytes(), path)
+        assert got == want, repr(text)
+
+    @pytest.mark.parametrize("brk", _SPLITLINES_BREAKS, ids=repr)
+    def test_each_break(self, tmp_path, brk):
+        # Read as one line, "16<break>30" is one size; the walk reads two lines and rejects the first.
+        for text in (f"16{brk}30", f"10 13{brk}16 30", f"10 13{brk}{brk}16\t30{brk}#c{brk}"):
+            for end in ("", brk):
+                self._check(tmp_path, text + end)
+
+    @given(st.lists(st.tuples(st.sampled_from(_EDGE_LINES), st.sampled_from(_SPLITLINES_BREAKS)), max_size=6),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_lines_and_breaks(self, lines, final_break):
+        text = "".join(line + brk for line, brk in lines)
+        if lines and not final_break:
+            text = text[:-len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(Path(tmp), text)
+
+    @pytest.mark.parametrize("name,text,as_path", [
+        ("sizes.txt", "10 13\r\n16 30\r7 9\n", True),
+        ("sizes", "10 13\n16 30", True),
+        ("sizes.txt", "# c\n10 13\n", False),
+        ("sizes.txt", "10 13\x8516 30\n", False),
+        ("sizes.txt.gz", "10 13\n", False),
+        ("sizes.TXT.xz", "10 13\n", False),
+    ])
+    def test_numpy_reads_a_plain_file_by_its_path(self, tmp_path, monkeypatch, name, text, as_path):
+        seen = []
+
+        def loadtxt(data, **kwargs):
+            seen.append(data)
+            return real(data, **kwargs)
+
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8", newline="")
+        load_dimension_samples(path)
+        assert [isinstance(data, str) for data in seen] == [as_path]
+
+
 class TestSpeedTable:
     def test_fixture_values(self):
         table = load_speed_table(fixture_path("speed_accuracy_map.tsv"))
